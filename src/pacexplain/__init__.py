@@ -86,7 +86,6 @@ from .synthesizer import (
 from .verifier import (
     VerifierOutcome,
     estimate_query_accuracy,
-    estimate_true_error,
     test_suite_size,
     verify,
     violation_label,

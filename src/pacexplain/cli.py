@@ -59,14 +59,8 @@ def _env_float(name: str, fallback: float) -> float:
         raise CliError(f"environment variable {name} is not a number: {raw!r}")
 
 
-def _quiet_parser(prog: str) -> argparse.ArgumentParser:
-    # argparse exits 2 on usage errors, but 2 already means
-    # no-explanation here, so usage failures are remapped to 1 in main().
-    return argparse.ArgumentParser(prog=prog)
-
-
 def build_parser() -> argparse.ArgumentParser:
-    parser = _quiet_parser("pacexplain")
+    parser = argparse.ArgumentParser(prog="pacexplain")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -335,7 +329,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except SystemExit as exc:
-        # --help/--version exit 0; everything else is a usage error
+        # --help/--version exit 0; everything else is a usage error. argparse
+        # exits 2 on those, but 2 already means no-explanation, so map it to 1.
         return 0 if exc.code == 0 else EXIT_USAGE
     logging.basicConfig(
         level=logging.DEBUG if getattr(args, "verbose", False) else logging.WARNING,

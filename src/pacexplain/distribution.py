@@ -156,8 +156,6 @@ def uniform_boolean(arity: int) -> ProductPerFeature:
 
 def default_distribution(kinds: Sequence[str]) -> Distribution:
     """Uniform {0,1} per boolean feature, uniform [0,1] otherwise."""
-    if all(kind == "bool" for kind in kinds):
-        return uniform_boolean(len(kinds))
     specs = []
     for kind in kinds:
         if kind == "bool":

@@ -8,10 +8,10 @@ exists in it. Budget exhaustion (wall-clock or iteration cap) reports the
 last conjecture with a sampled accuracy estimate that carries no
 (epsilon, delta) guarantee.
 
-Reproducibility: a run's randomness comes from three PCG64 streams spawned
-from the seed in a fixed layout (query-coverage calibration, the verify
-loop, post-run estimation), so equal configurations and seeds produce
-bit-equal results. Wall-clock timings are the only nondeterministic report
+Reproducibility: a run's randomness comes from PCG64 streams spawned from
+the seed in a fixed layout (a reserved unused stream, the verify loop,
+post-run estimation), so equal configurations and seeds produce bit-equal
+results. Wall-clock timings are the only nondeterministic report
 fields, and timeout-triggered budget stops naturally depend on them.
 """
 
@@ -28,7 +28,7 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .distribution import Distribution, ProductPerFeature, distribution_from_json
+from .distribution import Distribution, default_distribution, distribution_from_json
 from .formula import Formula, compare, evaluate, render, size
 from .model import Model, model_from_json
 from .query import Query, query_from_json
@@ -39,15 +39,15 @@ from .synthesizer import (
     synthesize,
     synthesize_general,
 )
-from .verifier import estimate_query_accuracy, test_suite_size, verify
+from .verifier import estimate_query_accuracy, test_suite_size, verify, violation_label
 
 OUTCOME_EXPLANATION = "explanation"
 OUTCOME_NO_EXPLANATION = "no-explanation"
 OUTCOME_BUDGET_TIMEOUT = "budget-timeout"
 OUTCOME_BUDGET_ITERATIONS = "budget-iteration-cap"
 
-_CALIBRATION_DRAWS = 1000
-_CALIBRATION_MIN_HITS = 10  # 1% of the calibration batch
+# a run warns when a smaller share of its draws lands in the query region
+_MIN_QUERY_COVERAGE = 0.01
 
 STRATEGIES = ("occam", "general")
 
@@ -152,39 +152,17 @@ def _validate_config(cfg: RunConfig):
         )
 
 
-def _derived_distribution(cfg: RunConfig) -> Distribution:
-    # Grammar features carry kinds; anything else defaults to a real in [0,1].
-    kinds = {f.index: f.kind for f in cfg.grammar.features}
-    specs = []
-    for j in range(cfg.model.arity):
-        if kinds.get(j) == "bool":
-            specs.append(("categorical", {0: 0.5, 1: 0.5}))
-        else:
-            specs.append(("interval", 0.0, 1.0))
-    return ProductPerFeature(specs)
-
-
-def _calibrate_query_coverage(cfg: RunConfig, dist: Distribution, rng):
-    hits = 0
-    for _ in range(_CALIBRATION_DRAWS):
-        if cfg.query.contains(dist.sample(rng)):
-            hits += 1
-    if hits < _CALIBRATION_MIN_HITS:
-        warnings.warn(
-            f"query region captured {hits}/{_CALIBRATION_DRAWS} calibration draws;"
-            " verification will rarely exercise it",
-            LowQueryCoverageWarning,
-            stacklevel=3,
-        )
-
-
 def explain(cfg: RunConfig) -> RunResult:
     _validate_config(cfg)
-    dist = cfg.distribution if cfg.distribution is not None else _derived_distribution(cfg)
+    dist = cfg.distribution
+    if dist is None:
+        kinds = {f.index: f.kind for f in cfg.grammar.features}
+        dist = default_distribution([kinds.get(j, "real") for j in range(cfg.model.arity)])
 
-    calib_seq, loop_seq, post_seq = np.random.SeedSequence(cfg.seed).spawn(3)
-    _calibrate_query_coverage(cfg, dist, np.random.Generator(np.random.PCG64(calib_seq)))
+    # child 0 is reserved and unused; spawning three keeps recorded reports' seeds
+    _, loop_seq, post_seq = np.random.SeedSequence(cfg.seed).spawn(3)
     rng = np.random.Generator(np.random.PCG64(loop_seq))
+    in_region = 0
 
     sample = Sample()
     trace = []
@@ -257,6 +235,7 @@ def explain(cfg: RunConfig) -> RunResult:
         )
         stats.verifier_seconds += time.perf_counter() - t0
         stats.total_test_inputs += result.tested_count
+        in_region += result.in_region_count
         trace.append(
             IterationRecord(
                 index=iteration,
@@ -277,13 +256,14 @@ def explain(cfg: RunConfig) -> RunResult:
 
     stats.iterations = iteration
     stats.counterexample_count = len(sample)
+    draws = stats.total_test_inputs
     certified = outcome == OUTCOME_EXPLANATION
     explanation = conjecture if outcome != OUTCOME_NO_EXPLANATION else None
     if explanation is not None:
         stats.explanation_size = size(explanation)
         if cfg.accuracy_samples > 0:
             post_rng = np.random.Generator(np.random.PCG64(post_seq))
-            accuracy, support = estimate_query_accuracy(
+            accuracy, support, estimate_draws = estimate_query_accuracy(
                 explanation,
                 cfg.model,
                 cfg.query,
@@ -294,6 +274,15 @@ def explain(cfg: RunConfig) -> RunResult:
             )
             stats.accuracy = accuracy
             stats.accuracy_support = support
+            draws += estimate_draws
+            in_region += support
+    if draws and in_region < _MIN_QUERY_COVERAGE * draws:
+        warnings.warn(
+            f"query region captured {in_region}/{draws} draws;"
+            " verification rarely exercised it",
+            LowQueryCoverageWarning,
+            stacklevel=2,
+        )
     stats.wall_seconds = time.perf_counter() - start
     return RunResult(
         outcome=outcome,
@@ -475,13 +464,12 @@ def check_run_invariants(result: RunResult):
                 raise EngineInvariantError(
                     f"iteration {rec.index}: counterexample outside the query region"
                 )
-            satisfied = evaluate(f, x)
-            is_target = cfg.model.classify(x) == cfg.target_class
-            if satisfied == is_target:
+            expected = violation_label(x, f, cfg.query, cfg.target_class, cfg.model)
+            if expected is None:
                 raise EngineInvariantError(
                     f"iteration {rec.index}: counterexample is not a violation"
                 )
-            if label != (0 if satisfied else 1):
+            if label != expected:
                 raise EngineInvariantError(
                     f"iteration {rec.index}: counterexample label {label} is wrong"
                 )

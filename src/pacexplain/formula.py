@@ -301,7 +301,8 @@ class _Parser:
     def _next(self):
         tok = self._peek()
         if tok is None:
-            raise FormulaParseError("unexpected end of input", len_position(self.tokens))
+            last, at = self.tokens[-1] if self.tokens else ("", 0)
+            raise FormulaParseError("unexpected end of input", at + len(last))
         self.pos += 1
         return tok
 
@@ -373,13 +374,6 @@ class _Parser:
                 self.pos += 1
                 return args
             args.append(self._formula())
-
-
-def len_position(tokens) -> Optional[int]:
-    if not tokens:
-        return 0
-    last_tok, last_at = tokens[-1]
-    return last_at + len(last_tok)
 
 
 def parse(text: str, arity: int, names: Optional[Sequence[str]] = None) -> Formula:

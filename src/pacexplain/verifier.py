@@ -32,6 +32,7 @@ class VerifierOutcome:
     tested_count: int
     counterexamples: tuple = ()
     suite_size: int = 0
+    in_region_count: int = 0
 
 
 def _check_rates(epsilon: float, delta: float):
@@ -81,48 +82,35 @@ def verify(
     """Test f on a fresh suite; fail with up to batch_limit counterexamples.
 
     Draws are consumed serially from `rng`, so a fixed generator state yields
-    a fixed outcome. The suite is cut short once batch_limit violations have
-    been collected; a pass always consumes the full suite.
+    a fixed outcome. The suite is cut short once batch_limit distinct
+    violations have been collected; a repeated one is skipped but its draw
+    still counts. A pass always consumes the full suite.
     """
     if batch_limit < 1:
         raise ValueError("batch_limit must be >= 1")
     n = test_suite_size(epsilon, delta, iteration)
-    counterexamples = []
+    counterexamples = {}  # point -> label, in draw order
     tested = 0
+    in_region = 0
     for _ in range(n):
         x = distribution.sample(rng)
         tested += 1
-        label = violation_label(x, f, query, target_class, model)
-        if label is not None:
-            counterexamples.append((x, label))
-            if len(counterexamples) >= batch_limit:
-                break
+        if not query.contains(x):
+            continue
+        in_region += 1
+        satisfied = evaluate(f, x)
+        if satisfied == (model.classify(x) == target_class) or x in counterexamples:
+            continue
+        counterexamples[x] = 0 if satisfied else 1
+        if len(counterexamples) >= batch_limit:
+            break
     return VerifierOutcome(
         passed=not counterexamples,
         tested_count=tested,
-        counterexamples=tuple(counterexamples),
+        counterexamples=tuple(counterexamples.items()),
         suite_size=n,
+        in_region_count=in_region,
     )
-
-
-def estimate_true_error(
-    f: Formula,
-    model: Model,
-    query: Query,
-    target_class,
-    distribution,
-    rng: np.random.Generator,
-    n_samples: int,
-) -> float:
-    """Monte Carlo probability that a draw is a violation."""
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
-    violations = 0
-    for _ in range(n_samples):
-        x = distribution.sample(rng)
-        if violation_label(x, f, query, target_class, model) is not None:
-            violations += 1
-    return violations / n_samples
 
 
 def estimate_query_accuracy(
@@ -134,12 +122,12 @@ def estimate_query_accuracy(
     rng: np.random.Generator,
     n_target: int,
     max_draws: Optional[int] = None,
-) -> Tuple[Optional[float], int]:
+) -> Tuple[Optional[float], int, int]:
     """Agreement of f with the model on draws inside the query region.
 
     Draws until n_target in-region points were seen (or max_draws total);
-    returns (accuracy, in_region_count), accuracy None when nothing landed
-    inside the region.
+    returns (accuracy, in_region_count, draws), accuracy None when nothing
+    landed inside the region.
     """
     if n_target < 1:
         raise ValueError("n_target must be >= 1")
@@ -147,8 +135,10 @@ def estimate_query_accuracy(
         max_draws = 50 * n_target
     hits = 0
     agree = 0
+    draws = 0
     for _ in range(max_draws):
         x = distribution.sample(rng)
+        draws += 1
         if not query.contains(x):
             continue
         hits += 1
@@ -157,5 +147,5 @@ def estimate_query_accuracy(
         if hits >= n_target:
             break
     if hits == 0:
-        return None, 0
-    return agree / hits, hits
+        return None, 0, draws
+    return agree / hits, hits, draws

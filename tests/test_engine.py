@@ -3,8 +3,8 @@ replay, budgets, and the trace invariant checker."""
 
 import dataclasses
 import json
+import warnings
 
-import numpy as np
 import pytest
 
 from pacexplain import (
@@ -20,9 +20,11 @@ from pacexplain import (
     ReplayError,
     ReplayMismatchError,
     RunConfig,
+    TrueQuery,
     UniformBox,
     check_run_invariants,
     config_from_report,
+    default_grammar,
     explain,
     parse,
     render,
@@ -31,7 +33,9 @@ from pacexplain import (
     stable_report,
     write_report,
 )
-from pacexplain.engine import VOLATILE_STAT_KEYS, _derived_distribution
+from pacexplain.engine import VOLATILE_STAT_KEYS
+
+from golden import bool3_tree
 
 
 def zoo_config(zoo_tree, zoo_grammar, query_text="true", **kw):
@@ -279,29 +283,75 @@ def test_config_rejects_grammar_beyond_model_arity(zoo_tree):
         explain(cfg)
 
 
+def _drawn_points(result):
+    return [x for x, _ in result.sample_entries]
+
+
 def test_derived_distribution_mirrors_grammar_kinds(
     zoo_tree, zoo_grammar, iris_mlp, data_dir
 ):
-    cfg = zoo_config(zoo_tree, zoo_grammar)
-    dist = _derived_distribution(cfg)
-    assert dist.arity == 16
-    rng = np.random.Generator(np.random.PCG64(0))
-    draws = [dist.sample(rng) for _ in range(40)]
-    assert all(v in (0.0, 1.0) for x in draws for v in x)
+    # without a distribution, boolean grammar features are drawn from {0, 1}
+    result = explain(zoo_config(zoo_tree, zoo_grammar, seed=7))
+    points = _drawn_points(result)
+    assert points and all(len(x) == 16 for x in points)
+    assert all(v in (0.0, 1.0) for x in points for v in x)
 
+    # ... and real ones, or features the grammar leaves out, from [0, 1]
     with open(data_dir / "iris_grammar.json", "r", encoding="utf-8") as fh:
         iris_grammar = Grammar.from_json(json.load(fh))
-    cfg = RunConfig(
-        model=iris_mlp,
-        query=FormulaQuery(parse("true", 4), 4),
-        target_class="virginica",
-        grammar=iris_grammar,
-        seed=0,
+    partial = Grammar.from_json(
+        {"features": [iris_grammar.to_json()["features"][2]],
+         "maxClauses": 1, "maxLiteralsPerClause": 1, "constants": True}
     )
-    dist = _derived_distribution(cfg)
-    draws = [dist.sample(rng) for _ in range(40)]
-    assert all(0.0 <= v <= 1.0 for x in draws for v in x)
-    assert any(v not in (0.0, 1.0) for x in draws for v in x)
+    for grammar in (iris_grammar, partial):
+        cfg = RunConfig(
+            model=iris_mlp,
+            query=FormulaQuery(parse("true", 4), 4),
+            target_class="virginica",
+            grammar=grammar,
+            seed=0,
+            accuracy_samples=0,
+        )
+        points = _drawn_points(explain(cfg))
+        assert points and all(len(x) == 4 for x in points)
+        assert all(0.0 <= v <= 1.0 for x in points for v in x)
+        assert all(v not in (0.0, 1.0) for x in points for v in x)
+
+
+def _zoo_conjunction(n):
+    """The first n zoo features all set: 2^-n of the uniform boolean cube."""
+    return "(and " + " ".join(f"x{j}" for j in range(n)) + ")"
+
+
+def test_coverage_warning_boundary(zoo_tree, zoo_grammar):
+    # verify and estimate draws together decide: a 1/64 region is enough...
+    cfg = zoo_config(zoo_tree, zoo_grammar, _zoo_conjunction(6), seed=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", LowQueryCoverageWarning)
+        explain(cfg)
+    # ... a 1/128 region falls below the 1% floor
+    cfg = zoo_config(zoo_tree, zoo_grammar, _zoo_conjunction(7), seed=0)
+    with pytest.warns(LowQueryCoverageWarning, match="draws"):
+        explain(cfg)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_batch_on_discrete_distribution(seed):
+    # a suite over eight points meets the same violation more than once; a
+    # batch must not hand the repeat to the sample twice
+    cfg = RunConfig(
+        model=bool3_tree(),
+        query=TrueQuery(3),
+        target_class="yes",
+        grammar=default_grammar(["bool"] * 3),
+        seed=seed,
+        counterexample_batch=5,
+        accuracy_samples=0,
+    )
+    result = explain(cfg)
+    assert result.outcome == OUTCOME_EXPLANATION
+    assert render(result.explanation) == "(or (and x0 x1) (and x0 x2))"
+    check_run_invariants(result)
 
 
 def test_invariant_checker_rejects_tampered_label(zoo_tree, zoo_grammar):

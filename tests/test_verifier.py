@@ -7,10 +7,10 @@ from pacexplain import test_suite_size as suite_size
 from pacexplain import (
     FALSE,
     TRUE,
+    DecisionTreeModel,
     FormulaQuery,
     TrueQuery,
     estimate_query_accuracy,
-    estimate_true_error,
     parse,
     uniform_boolean,
     verify,
@@ -77,6 +77,8 @@ def test_verify_pass_consumes_full_suite(zoo_tree):
     assert out.counterexamples == ()
     assert out.suite_size == suite_size(0.05, 0.05, 3)
     assert out.tested_count == out.suite_size
+    # the whole cube is in the region
+    assert out.in_region_count == out.tested_count
 
 
 def test_verify_short_circuits_on_first_violation(zoo_tree):
@@ -124,44 +126,71 @@ def test_verify_respects_query_region(zoo_tree):
         0.05, 0.05, 1, rng(3),
     )
     assert out.passed
+    # about half the draws have fins
+    assert 0 < out.in_region_count < out.tested_count
+    assert math.isclose(out.in_region_count / out.tested_count, 0.5, abs_tol=0.2)
+
+
+def test_verify_collects_distinct_counterexamples():
+    # three boolean features offer only a few points, so a long suite meets
+    # the same violation again; the repeat is skipped, its draw still counted
+    tree = DecisionTreeModel(3, ["no", "yes"], {
+        "feature": 0, "threshold": 0.5,
+        "le": {"leaf": "no"}, "gt": {"leaf": "yes"},
+    })
+    out = verify(
+        FALSE, tree, TrueQuery(3), "yes", uniform_boolean(3),
+        0.05, 0.05, 1, rng(4), batch_limit=5,
+    )
+    points = [x for x, _ in out.counterexamples]
+    # x0 set on 4 of the 8 points: all of them fail, none twice
+    assert sorted(points) == sorted(
+        (1.0, b, c) for b in (0.0, 1.0) for c in (0.0, 1.0)
+    )
+    assert all(label == 1 for _, label in out.counterexamples)
+    assert out.tested_count == out.suite_size
 
 
 def test_estimate_true_error_const_true(zoo_tree):
     # fish needs fins and not breathes: exactly 1/4 of the uniform boolean
     # cube, so claiming fish everywhere is wrong on 3/4 of it
-    err = estimate_true_error(
+    acc, _, _ = estimate_query_accuracy(
         TRUE, zoo_tree, TrueQuery(16), "fish", uniform_boolean(16), rng(5), 100000
     )
-    assert math.isclose(err, 0.75, abs_tol=0.01)
+    assert math.isclose(1.0 - acc, 0.75, abs_tol=0.01)
     perfect = parse("(and x11 (not x9))", 16)
-    assert estimate_true_error(
+    acc, _, _ = estimate_query_accuracy(
         perfect, zoo_tree, TrueQuery(16), "fish", uniform_boolean(16), rng(5), 2000
-    ) == 0.0
+    )
+    assert 1.0 - acc == 0.0
     with pytest.raises(ValueError):
-        estimate_true_error(
+        estimate_query_accuracy(
             TRUE, zoo_tree, TrueQuery(16), "fish", uniform_boolean(16), rng(5), 0
         )
 
 
 def test_estimate_query_accuracy(zoo_tree):
     f = parse("(and x11 (not x9))", 16)
-    acc, hits = estimate_query_accuracy(
+    acc, hits, draws = estimate_query_accuracy(
         f, zoo_tree, TrueQuery(16), "fish", uniform_boolean(16), rng(6), 500
     )
     assert acc == 1.0
     assert hits == 500
+    assert draws == 500
     # an always-false region yields an undefined accuracy
-    acc, hits = estimate_query_accuracy(
+    acc, hits, draws = estimate_query_accuracy(
         f, zoo_tree, FormulaQuery(FALSE, 16), "fish", uniform_boolean(16), rng(6), 100
     )
     assert acc is None
     assert hits == 0
+    assert draws == 5000  # the default cap, 50 draws per target hit
     # narrow regions stop at max_draws, not at the target
     narrow = FormulaQuery(parse("(and x0 (and x1 (and x2 x3)))", 16), 16)
-    acc, hits = estimate_query_accuracy(
+    acc, hits, draws = estimate_query_accuracy(
         f, zoo_tree, narrow, "fish", uniform_boolean(16), rng(6), 1000, max_draws=2000
     )
     assert hits < 1000
+    assert draws == 2000
     with pytest.raises(ValueError):
         estimate_query_accuracy(
             f, zoo_tree, TrueQuery(16), "fish", uniform_boolean(16), rng(6), 0
@@ -170,9 +199,9 @@ def test_estimate_query_accuracy(zoo_tree):
 
 def test_estimate_accuracy_of_wrong_formula(zoo_tree):
     # x11 alone over-claims breathers with fins (1/4 of the cube)
-    acc, hits = estimate_query_accuracy(
+    acc, hits, draws = estimate_query_accuracy(
         parse("x11", 16), zoo_tree, TrueQuery(16), "fish", uniform_boolean(16),
         rng(9), 20000,
     )
-    assert hits == 20000
+    assert hits == draws == 20000
     assert math.isclose(acc, 0.75, abs_tol=0.02)
