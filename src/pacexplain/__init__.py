@@ -25,6 +25,7 @@ from .formula import (
     disjunct_count,
     equivalent_on_grid,
     evaluate,
+    evaluate_mask,
     features_of,
     order_key,
     parse,

@@ -4,10 +4,20 @@ All distributions draw full feature vectors over R^n; the query region does
 not condition the draw, it only classifies points afterwards. Streams are
 reproducible: every distribution consumes a numpy Generator (PCG64) in a
 fixed per-feature order, so a fixed seed yields a bit-identical sequence.
+
+`sample` draws one point; `sample_block` draws n points as the rows of an
+(n, d) array and leaves the stream where n calls of `sample` leave it.
+`UniformBox` and `ProductPerFeature` spend exactly one double per feature:
+draw i consumes doubles i*d .. i*d+d-1, so one `rng.random((n, d))` call
+yields the doubles of n scalar draws in order, and `skip` jumps k draws
+ahead with `advance`. `Empirical` spends a varying number of stream values
+per draw (`integers`, then ziggurat `normal`), so it draws its blocks one
+point at a time and skips by drawing and discarding.
 """
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import Optional, Sequence
 
 import numpy as np
@@ -22,6 +32,26 @@ class Distribution:
 
     def sample(self, rng: np.random.Generator) -> tuple:
         raise NotImplementedError
+
+    def sample_block(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        """n draws as the rows of an (n, arity) float array."""
+        raise NotImplementedError
+
+    def skip(self, rng: np.random.Generator, k: int):
+        """Move `rng` past k draws, to where k calls of `sample` leave it.
+
+        Assumes one double per feature and draw; a distribution that draws
+        otherwise overrides it.
+        """
+        if isinstance(rng.bit_generator, (np.random.PCG64, np.random.PCG64DXSM)):
+            # one 64-bit step per double
+            rng.bit_generator.advance(k * self.arity)
+        else:
+            rng.random(k * self.arity)
+
+    def point(self, row: np.ndarray) -> tuple:
+        """One row of a block as the tuple `sample` would have returned."""
+        return tuple(row.tolist())
 
     def to_json(self) -> dict:
         raise NotImplementedError
@@ -42,6 +72,9 @@ class UniformBox(Distribution):
     def sample(self, rng: np.random.Generator) -> tuple:
         u = rng.random(self.arity)
         return tuple((self._lo + u * self._span).tolist())
+
+    def sample_block(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        return self._lo + rng.random((n, self.arity)) * self._span
 
     def to_json(self) -> dict:
         return {"uniformBox": {"lo": list(self.lo), "hi": list(self.hi)}}
@@ -77,6 +110,13 @@ class ProductPerFeature(Distribution):
             else:
                 raise DistributionError(f"feature {k}: unknown spec kind {kind!r}")
         self.arity = len(self.specs)
+        # per categorical column: the running sums `sample` compares against,
+        # the values, and each value's own float object for `point`
+        self._categorical = [
+            (j, np.array(list(accumulate(spec[2]))), np.array(spec[1]), {v: v for v in spec[1]})
+            for j, spec in enumerate(self.specs)
+            if spec[0] == "categorical"
+        ]
 
     def sample(self, rng: np.random.Generator) -> tuple:
         out = []
@@ -96,6 +136,26 @@ class ProductPerFeature(Distribution):
                         break
                 out.append(chosen)
         return tuple(out)
+
+    def sample_block(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        X = rng.random((n, self.arity))
+        for j, spec in enumerate(self.specs):
+            if spec[0] == "interval":
+                _, lo, hi = spec
+                X[:, j] = lo + X[:, j] * (hi - lo)
+        for j, cum, values, _ in self._categorical:
+            # first value whose running sum exceeds u; a u past a sum that
+            # falls short of 1 takes the last value, as in `sample`
+            k = np.searchsorted(cum, X[:, j], side="right")
+            X[:, j] = values[np.minimum(k, len(values) - 1)]
+        return X
+
+    def point(self, row: np.ndarray) -> tuple:
+        # share the categorical value objects, as `sample` does
+        x = row.tolist()
+        for j, _, _, own in self._categorical:
+            x[j] = own[x[j]]
+        return tuple(x)
 
     def to_json(self) -> dict:
         specs = []
@@ -138,6 +198,18 @@ class Empirical(Distribution):
                 x[j] = min(1.0, max(0.0, x[j] + nz))
         return tuple(x.tolist())
 
+    # The scalar loops below are the block layout: a draw's stream use
+    # varies, so no array call reproduces n draws of `sample`.
+    def sample_block(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        X = np.empty((n, self.arity))
+        for i in range(n):
+            X[i] = self.sample(rng)
+        return X
+
+    def skip(self, rng: np.random.Generator, k: int):
+        for _ in range(k):
+            self.sample(rng)
+
     def to_json(self) -> dict:
         if self.path is None:
             raise DistributionError(
@@ -150,8 +222,14 @@ def uniform_box(arity: int) -> UniformBox:
     return UniformBox([0.0] * arity, [1.0] * arity)
 
 
+# ProductPerFeature keeps float keys as they are, so every distribution built
+# from this dict draws the same two value objects, and the points of many
+# runs share them
+_FAIR_BOOLEAN = ("categorical", {0.0: 0.5, 1.0: 0.5})
+
+
 def uniform_boolean(arity: int) -> ProductPerFeature:
-    return ProductPerFeature([("categorical", {0: 0.5, 1: 0.5})] * arity)
+    return ProductPerFeature([_FAIR_BOOLEAN] * arity)
 
 
 def default_distribution(kinds: Sequence[str]) -> Distribution:
@@ -159,7 +237,7 @@ def default_distribution(kinds: Sequence[str]) -> Distribution:
     specs = []
     for kind in kinds:
         if kind == "bool":
-            specs.append(("categorical", {0: 0.5, 1: 0.5}))
+            specs.append(_FAIR_BOOLEAN)
         else:
             specs.append(("interval", 0.0, 1.0))
     return ProductPerFeature(specs)

@@ -17,6 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
+import numpy as np
+
 OPS = ("<", "<=", ">", ">=", "=")
 _OP_RANK = {op: i for i, op in enumerate(OPS)}
 
@@ -204,6 +206,38 @@ def evaluate(f: Formula, x: Sequence[float]) -> bool:
         return all(evaluate(c, x) for c in f.children)
     if isinstance(f, Or):
         return any(evaluate(c, x) for c in f.children)
+    raise TypeError(f"not a Formula: {f!r}")
+
+
+_MASK_OPS = {
+    "<": np.less,
+    "<=": np.less_equal,
+    ">": np.greater,
+    ">=": np.greater_equal,
+    "=": np.equal,
+}
+
+
+def evaluate_mask(f: Formula, X: np.ndarray) -> np.ndarray:
+    """`evaluate` on every row of the 2-D float block X, as a boolean mask."""
+    if isinstance(f, Atom):
+        return _MASK_OPS[f.op](X[:, f.feature], f.constant)
+    if isinstance(f, BoolAtom):
+        return X[:, f.feature] == 1
+    if isinstance(f, Not):
+        return ~evaluate_mask(f.child, X)
+    if isinstance(f, And):
+        out = evaluate_mask(f.children[0], X)
+        for c in f.children[1:]:
+            out &= evaluate_mask(c, X)
+        return out
+    if isinstance(f, Or):
+        out = evaluate_mask(f.children[0], X)
+        for c in f.children[1:]:
+            out |= evaluate_mask(c, X)
+        return out
+    if isinstance(f, (ConstTrue, ConstFalse)):
+        return np.full(len(X), isinstance(f, ConstTrue))
     raise TypeError(f"not a Formula: {f!r}")
 
 

@@ -4,7 +4,8 @@ Models are immutable wrappers around three JSON-described classifier kinds:
 decision trees (``x[feature] <= threshold`` goes left), small MLPs
 (relu/identity layers, argmax output with ties to the lowest class index),
 and exact-match lookup tables. The explanation engine only ever calls
-`classify`, so anything exposing the same surface can be plugged in.
+`classify_batch`, which labels the rows of a block; the base class derives
+it from `classify`, so anything exposing `classify` can be plugged in.
 
 Datasets come from RFC-4180 CSV files with a header row; the last column is
 the class. Features are min-max normalized to [0, 1]; columns whose raw
@@ -23,7 +24,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .formula import Formula, evaluate
+# `evaluate` stays importable here: bench/tracing.py wraps it in this module
+from .formula import Formula, evaluate, evaluate_mask  # noqa: F401
 from .query import Query, TrueQuery
 
 
@@ -44,12 +46,28 @@ class Model:
     def classify(self, x: Sequence[float]):
         raise NotImplementedError
 
+    def classify_batch(self, X: np.ndarray) -> np.ndarray:
+        """Labels of the rows of the 2-D block X, as an object array."""
+        self._check_block(X)
+        return _object_array([self.classify(x) for x in X.tolist()])
+
     def to_json(self) -> dict:
         raise NotImplementedError
 
     def _check_arity(self, x: Sequence[float]):
         if len(x) != self.arity:
             raise ValueError(f"expected {self.arity} features, got {len(x)}")
+
+    def _check_block(self, X: np.ndarray):
+        if X.ndim != 2 or X.shape[1] != self.arity:
+            raise ValueError(f"expected blocks of {self.arity} features, got {X.shape}")
+
+
+def _object_array(items: Sequence) -> np.ndarray:
+    out = np.empty(len(items), dtype=object)
+    for i, item in enumerate(items):
+        out[i] = item
+    return out
 
 
 class DecisionTreeModel(Model):
@@ -58,6 +76,7 @@ class DecisionTreeModel(Model):
         self.classes = tuple(classes)
         self.root = root
         _validate_tree_node(root, self.arity, set(self.classes))
+        self._flat = None  # built by the first classify_batch
 
     def classify(self, x: Sequence[float]):
         self._check_arity(x)
@@ -65,6 +84,22 @@ class DecisionTreeModel(Model):
         while "leaf" not in node:
             node = node["le"] if x[node["feature"]] <= node["threshold"] else node["gt"]
         return node["leaf"]
+
+    def classify_batch(self, X: np.ndarray) -> np.ndarray:
+        self._check_block(X)
+        if self._flat is None:
+            self._flat = _flatten_tree(self.root)
+        feature, threshold, le, gt, labels = self._flat
+        node = np.zeros(len(X), dtype=np.intp)
+        rows = np.arange(len(X))
+        # one level per pass: rows still at a split move to a child
+        while rows.size:
+            at = node[rows]
+            split = feature[at] >= 0
+            rows, at = rows[split], at[split]
+            go_le = X[rows, feature[at]] <= threshold[at]
+            node[rows] = np.where(go_le, le[at], gt[at])
+        return labels[node]
 
     def to_json(self) -> dict:
         return {
@@ -92,6 +127,34 @@ class DecisionTreeModel(Model):
 
         walk(self.root, [])
         return paths
+
+
+def _flatten_tree(root: dict) -> tuple:
+    """Node arrays in breadth-first order: feature (-1 at a leaf), threshold,
+    le and gt child indices, and each node's label (used at leaves)."""
+    nodes = [root]
+    feature, threshold, le, gt, labels = [], [], [], [], []
+    for node in nodes:
+        if "leaf" in node:
+            feature.append(-1)
+            threshold.append(0.0)
+            le.append(0)
+            gt.append(0)
+            labels.append(node["leaf"])
+        else:
+            feature.append(node["feature"])
+            threshold.append(float(node["threshold"]))
+            le.append(len(nodes))
+            gt.append(len(nodes) + 1)
+            labels.append(None)
+            nodes += [node["le"], node["gt"]]
+    return (
+        np.asarray(feature, dtype=np.intp),
+        np.asarray(threshold),
+        np.asarray(le, dtype=np.intp),
+        np.asarray(gt, dtype=np.intp),
+        _object_array(labels),
+    )
 
 
 def _validate_tree_node(node, arity: int, classes: set):
@@ -145,16 +208,25 @@ class MlpModel(Model):
             raise ModelFormatError(
                 f"final layer width {width} != number of classes {len(self.classes)}"
             )
+        self._labels = _object_array(self.classes)
 
     def classify(self, x: Sequence[float]):
         self._check_arity(x)
-        v = np.asarray(x, dtype=float)
+        return self.classify_batch(np.asarray([x], dtype=float))[0]
+
+    def classify_batch(self, X: np.ndarray) -> np.ndarray:
+        self._check_block(X)
+        v = X
         for w, b, act in self.layers:
-            v = w @ v + b
-            if act == "relu":
-                v = np.maximum(v, 0.0)
+            # bias first, then one input at a time: elementwise operations
+            # round the same whatever the block size, unlike a BLAS matmul
+            out = np.empty((len(v), len(b)))
+            out[:] = b
+            for k in range(w.shape[1]):
+                out += v[:, k : k + 1] * w[:, k]
+            v = np.maximum(out, 0.0) if act == "relu" else out
         # ties go to the lowest class index; np.argmax already does that
-        return self.classes[int(np.argmax(v))]
+        return self._labels[np.argmax(v, axis=1)]
 
     def to_json(self) -> dict:
         return {
@@ -417,20 +489,16 @@ def accuracy_on(classifier, data: Dataset, query: Optional[Query], target_class)
     """
     if query is None:
         query = TrueQuery()
+    X = np.array([x for x, _ in data.rows], dtype=float).reshape(len(data.rows), data.arity)
     if isinstance(classifier, Formula):
-        predicts = lambda x: evaluate(classifier, x)
+        predicts = evaluate_mask(classifier, X)
     elif isinstance(classifier, Model):
-        predicts = lambda x: classifier.classify(x) == target_class
+        predicts = classifier.classify_batch(X) == target_class
     else:
         raise TypeError("classifier must be a Formula or a Model")
-    total = 0
-    agree = 0
-    for x, label in data.rows:
-        if not query.contains(x):
-            continue
-        total += 1
-        if predicts(x) == (label == target_class):
-            agree += 1
+    inside = query.contains_mask(X)
+    total = int(np.count_nonzero(inside))
     if total == 0:
         return None
-    return agree / total
+    is_target = np.array([label == target_class for _, label in data.rows], dtype=bool)
+    return int(np.count_nonzero(inside & (predicts == is_target))) / total

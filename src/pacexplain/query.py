@@ -2,7 +2,8 @@
 
 Two kinds: a formula over the feature space, or a cosine-distance ball
 around a center vector. Membership is the only operation the rest of the
-pipeline needs.
+pipeline needs: `contains` for one point, `contains_mask` for the rows of a
+block.
 """
 
 from __future__ import annotations
@@ -13,7 +14,9 @@ import os
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .formula import TRUE, Formula, evaluate, parse, render
+import numpy as np
+
+from .formula import TRUE, Formula, evaluate, evaluate_mask, parse, render
 
 DEFAULT_COSINE_RADIUS = 0.5
 
@@ -46,6 +49,10 @@ class Query:
     def contains(self, x: Sequence[float]) -> bool:
         raise NotImplementedError
 
+    def contains_mask(self, X: np.ndarray) -> np.ndarray:
+        """`contains` on every row of the 2-D block X, as a boolean mask."""
+        raise NotImplementedError
+
     def to_json(self) -> dict:
         raise NotImplementedError
 
@@ -57,6 +64,9 @@ class FormulaQuery(Query):
 
     def contains(self, x: Sequence[float]) -> bool:
         return evaluate(self.formula, x)
+
+    def contains_mask(self, X: np.ndarray) -> np.ndarray:
+        return evaluate_mask(self.formula, X)
 
     def to_json(self) -> dict:
         return {"formula": render(self.formula), "arity": self.arity}
@@ -86,6 +96,24 @@ class CosineBall(Query):
         if not any(x):
             return False
         return cosine_distance(x, self.center) <= self.max_distance
+
+    def contains_mask(self, X: np.ndarray) -> np.ndarray:
+        # the sums run column by column in `cosine_distance`'s order, so each
+        # row rounds exactly as the scalar test does
+        dot = np.zeros(len(X))
+        na = np.zeros(len(X))
+        nb = 0.0
+        for j, c in enumerate(self.center):
+            col = X[:, j]
+            dot += col * c
+            na += col * col
+            nb += c * c
+        if np.any(X.any(axis=1) & ((na == 0.0) | (nb == 0.0))):
+            raise QueryError("cosine distance undefined for the zero vector")
+        # a zero row gives 0/0 = NaN, which no comparison accepts: outside
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cos = dot / (np.sqrt(na) * math.sqrt(nb))
+        return 1.0 - np.clip(cos, -1.0, 1.0) <= self.max_distance
 
     def to_json(self) -> dict:
         return {"cosine": {"center": list(self.center), "maxDistance": self.max_distance}}

@@ -119,18 +119,25 @@ class Grammar:
         )
 
     def literals(self) -> list:
-        """All grammar literals, sorted by candidate order."""
-        lits = []
-        for f in self.features:
-            if f.kind == "bool":
-                lits.append(BoolAtom(f.index))
-                lits.append(Not(BoolAtom(f.index)))
-            else:
-                for op in f.ops:
-                    for c in f.constants:
-                        lits.append(Atom(f.index, op, c))
-        lits.sort(key=order_key)
-        return lits
+        """All grammar literals, sorted by candidate order.
+
+        Built once per grammar, so every formula synthesized from it shares
+        the same literal objects.
+        """
+        lits = self.__dict__.get("_literals")
+        if lits is None:
+            lits = []
+            for f in self.features:
+                if f.kind == "bool":
+                    lits.append(BoolAtom(f.index))
+                    lits.append(Not(BoolAtom(f.index)))
+                else:
+                    for op in f.ops:
+                        for c in f.constants:
+                            lits.append(Atom(f.index, op, c))
+            lits.sort(key=order_key)
+            object.__setattr__(self, "_literals", lits)
+        return list(lits)
 
     def to_json(self) -> dict:
         features = []

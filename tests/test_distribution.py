@@ -1,8 +1,11 @@
 import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pacexplain import (
     DistributionError,
@@ -155,3 +158,128 @@ def test_distribution_from_json_unknown():
         distribution_from_json({"gaussian": {}})
     with pytest.raises(DistributionError):
         distribution_from_json({"product": [{"spline": []}]})
+
+
+# --- block kernels against the scalar sampler ---------------------------------
+
+IRIS = str(pathlib.Path(__file__).resolve().parent.parent / "src" / "pacexplain" / "data" / "iris.csv")
+# seven equal weights: the running sum of the probabilities ends at
+# 0.9999999999999998, so the largest doubles below 1 lie past every sum
+SHORT_WEIGHTS = {v: 1 for v in range(7)}
+PRODUCT = ProductPerFeature(
+    [
+        ("interval", -1, 2),
+        ("categorical", {0: 1, 3: 2}),
+        ("categorical", SHORT_WEIGHTS),
+        ("categorical", {0: 0, 1: 1, 2: 0}),
+        ("interval", 0.5, 0.5),
+    ]
+)
+STREAMS = {
+    "box": UniformBox([0.0, -1.0, 2.0], [1.0, 1.0, 2.0]),
+    "product": PRODUCT,
+    "boolean": uniform_boolean(16),
+    "empirical": Empirical(load_dataset(IRIS), sigma=0.05),
+    "empirical-quiet": Empirical(load_dataset(IRIS), sigma=0.0),
+}
+
+
+def scalar_draws(dist, r, n):
+    return [dist.sample(r) for _ in range(n)]
+
+
+def test_short_weights_fall_short_of_one():
+    running = 0.0
+    for p in PRODUCT.specs[2][2]:
+        running += p
+    assert running < np.nextafter(1.0, 0.0)
+
+
+@pytest.mark.parametrize("name", list(STREAMS))
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 70))
+def test_sample_block_matches_scalar_draws(name, seed, n):
+    dist = STREAMS[name]
+    a, b = rng(seed), rng(seed)
+    X = dist.sample_block(a, n)
+    assert X.shape == (n, dist.arity)
+    assert [dist.point(row) for row in X] == scalar_draws(dist, b, n)
+    assert a.bit_generator.state == b.bit_generator.state
+
+
+@pytest.mark.parametrize("name", list(STREAMS))
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(0, 300))
+def test_skip_matches_scalar_draws(name, seed, k):
+    dist = STREAMS[name]
+    a, b = rng(seed), rng(seed)
+    dist.skip(a, k)
+    scalar_draws(dist, b, k)
+    assert a.bit_generator.state == b.bit_generator.state
+    assert dist.sample(a) == dist.sample(b)
+
+
+def test_skip_without_advance_matches_scalar_draws():
+    # MT19937 has no `advance`; skipping falls back to drawing the doubles
+    dist = STREAMS["product"]
+    a = np.random.Generator(np.random.MT19937(3))
+    b = np.random.Generator(np.random.MT19937(3))
+    dist.skip(a, 40)
+    scalar_draws(dist, b, 40)
+    assert dist.sample(a) == dist.sample(b)
+
+
+class Doubles:
+    """Stand-in generator handing out a fixed sequence of doubles."""
+
+    def __init__(self, values):
+        self.values = list(values)
+        self.pos = 0
+
+    def random(self, size=None):
+        if size is None:
+            self.pos += 1
+            return self.values[self.pos - 1]
+        n = int(np.prod(size))
+        self.pos += n
+        return np.array(self.values[self.pos - n : self.pos]).reshape(size)
+
+
+def _edges(dist):
+    """Every running sum of the categorical columns, its neighbours below
+    and above, and the extremes of [0, 1)."""
+    edges = {0.0, np.nextafter(1.0, 0.0)}
+    for spec in dist.specs:
+        if spec[0] == "categorical":
+            running = 0.0
+            for p in spec[2]:
+                running += p
+                edges |= {running, np.nextafter(running, 0.0), np.nextafter(running, 1.0)}
+    return sorted(e for e in edges if 0.0 <= e < 1.0)
+
+
+@given(
+    st.lists(
+        st.one_of(st.floats(0, 1, exclude_max=True), st.sampled_from(_edges(PRODUCT))),
+        min_size=PRODUCT.arity * 12,
+        max_size=PRODUCT.arity * 12,
+    )
+)
+def test_inverse_cdf_block_matches_scalar_at_every_edge(us):
+    n = len(us) // PRODUCT.arity
+    block = [PRODUCT.point(row) for row in PRODUCT.sample_block(Doubles(us), n)]
+    assert block == scalar_draws(PRODUCT, Doubles(us), n)
+
+
+def test_points_share_the_categorical_value_objects():
+    dist = uniform_boolean(4)
+    X = dist.sample_block(rng(2), 20)
+    scalar = scalar_draws(dist, rng(2), 20)
+    values = dist.specs[0][1]
+    for row, x in zip(X, scalar):
+        got = dist.point(row)
+        assert got == x
+        assert all(any(v is w for w in values) for v in got)
+    # every default distribution draws the same two objects
+    other = default_distribution(["bool"] * 4)
+    assert all(v is w for v, w in zip(other.specs[0][1], values))

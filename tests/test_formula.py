@@ -7,6 +7,7 @@ the two is evidence, not a tautology.
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -25,6 +26,7 @@ from pacexplain import (
     disjunct_count,
     equivalent_on_grid,
     evaluate,
+    evaluate_mask,
     features_of,
     order_key,
     parse,
@@ -98,6 +100,31 @@ points = st.lists(
 @given(dnfs, points)
 def test_evaluate_agrees_with_dnf_oracle(f, x):
     assert evaluate(f, x) == eval_dnf_oracle(f, x)
+
+
+def _constants(f):
+    if isinstance(f, Atom):
+        return {f.constant}
+    if isinstance(f, Not):
+        return _constants(f.child)
+    if isinstance(f, (And, Or)):
+        return set().union(*(_constants(c) for c in f.children))
+    return set()
+
+
+@given(formulas, st.data())
+def test_evaluate_mask_matches_evaluate(f, data):
+    # coordinates land on the formula's own constants, so every comparison
+    # is also tested at equality
+    pool = sorted(_constants(f) | {0.0, 1.0})
+    coordinate = st.one_of(st.sampled_from(pool), constants)
+    xs = data.draw(
+        st.lists(st.lists(coordinate, min_size=ARITY, max_size=ARITY), max_size=12)
+    )
+    X = np.array(xs, dtype=float).reshape(len(xs), ARITY)
+    mask = evaluate_mask(f, X)
+    assert mask.dtype == bool
+    assert mask.tolist() == [evaluate(f, x) for x in xs]
 
 
 @given(formulas)

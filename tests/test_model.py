@@ -9,6 +9,7 @@ recomputed with plain Python loops instead of numpy.
 import itertools
 import json
 
+import numpy as np
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 from pacexplain import (
     And,
     Atom,
+    CosineBall,
     DatasetFormatError,
     DecisionTreeModel,
     MlpModel,
@@ -78,6 +80,25 @@ points3 = st.lists(st.floats(0, 1, allow_nan=False), min_size=3, max_size=3)
 def test_tree_classify_matches_descent_oracle(root, x):
     model = DecisionTreeModel(3, ("a", "b"), root)
     assert model.classify(x) == classify_tree_oracle(root, x)
+
+
+def _thresholds(node):
+    if "leaf" in node:
+        return set()
+    return {node["threshold"]} | _thresholds(node["le"]) | _thresholds(node["gt"])
+
+
+def _block(xs, arity=3):
+    return np.array(xs, dtype=float).reshape(len(xs), arity)
+
+
+@given(tree_strategy(), st.lists(points3, max_size=12))
+def test_tree_classify_batch_matches_classify(root, xs):
+    model = DecisionTreeModel(3, ("a", "b"), root)
+    # points on the split thresholds test `<=` at equality
+    xs = xs + [[t, t, t] for t in sorted(_thresholds(root))]
+    labels = model.classify_batch(_block(xs))
+    assert labels.tolist() == [model.classify(x) for x in xs]
 
 
 @given(tree_strategy(), points3)
@@ -151,6 +172,17 @@ def test_mlp_matches_loop_forward_oracle(model, x):
     assert model.classify(x) == model.classes[best]
 
 
+@given(mlp_strategy(), st.lists(points3, max_size=12))
+def test_mlp_classify_batch_matches_classify_and_oracle(model, xs):
+    labels = model.classify_batch(_block(xs)).tolist()
+    assert labels == [model.classify(x) for x in xs]
+    layers = [(w.tolist(), b.tolist(), act) for w, b, act in model.layers]
+    for x, label in zip(xs, labels):
+        logits = forward_oracle(layers, x)
+        best = max(range(len(logits)), key=lambda i: (logits[i], -i))
+        assert label == model.classes[best]
+
+
 @given(mlp_strategy(), points3, st.floats(-5, 5, allow_nan=False))
 def test_mlp_logit_shift_invariance(model, x, shift):
     spec = model.to_json()
@@ -201,6 +233,20 @@ def test_table_model_lookup_and_default():
     assert model.classify([0.5, 0.5]) == "no"
     with pytest.raises(ValueError):
         model.classify([1.0])
+
+
+def test_table_classify_batch_matches_classify():
+    model = TableModel(
+        2,
+        ("no", "yes"),
+        [{"x": [0, 1], "class": "yes"}, {"x": [1, 1], "class": "no"}],
+        "no",
+    )
+    xs = [[0.0, 1.0], [1.0, 1.0], [0.5, 0.5], [0.0, 1.0]]
+    labels = model.classify_batch(_block(xs, 2))
+    assert labels.tolist() == [model.classify(x) for x in xs] == ["yes", "no", "no", "yes"]
+    with pytest.raises(ValueError):
+        model.classify_batch(_block(xs, 2)[:, :1])
 
 
 def test_table_model_validation_errors():
@@ -357,6 +403,20 @@ def test_accuracy_on_formula_and_model(zoo_data, zoo_tree):
     assert acc is not None and acc < 1.0
     with pytest.raises(TypeError):
         accuracy_on("x0", zoo_data, None, "fish")
+
+
+def test_accuracy_on_matches_row_by_row_count(zoo_data, zoo_tree):
+    # a ball around the fish rows keeps some rows and drops others
+    ball = CosineBall(zoo_data.rows[0][0], 0.3)
+    kept = [(x, label) for x, label in zoo_data.rows if ball.contains(x)]
+    assert 0 < len(kept) < len(zoo_data.rows)
+    for classifier in (parse("(or x3 (not x11))", 16), zoo_tree):
+        if isinstance(classifier, DecisionTreeModel):
+            predicts = [classifier.classify(x) == "fish" for x, _ in kept]
+        else:
+            predicts = [evaluate(classifier, x) for x, _ in kept]
+        agree = sum(p == (label == "fish") for p, (_, label) in zip(predicts, kept))
+        assert accuracy_on(classifier, zoo_data, ball, "fish") == agree / len(kept)
 
 
 def test_accuracy_on_empty_query_region_is_undefined(zoo_data):

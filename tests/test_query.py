@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -55,6 +56,37 @@ def test_cosine_ball_membership():
     assert ball.contains((1.0, 0.9))
     assert not ball.contains((0.0, 1.0))
     assert not ball.contains((0.0, 0.0))
+
+
+@given(
+    vectors,
+    st.lists(st.one_of(vectors, st.just([0.0, 0.0, 0.0])), min_size=1, max_size=12),
+    st.floats(0, 2),
+)
+def test_cosine_contains_mask_matches_contains(center, xs, radius):
+    zero = [0.0, 0.0, 0.0]
+    X = np.array(xs, dtype=float)
+    # a radius that some nonzero point sits on exactly, and one drawn freely
+    on_edge = [cosine_distance(x, center) for x in xs if x != zero]
+    for r in on_edge[:1] + [radius]:
+        ball = CosineBall(center, min(r, 2.0))
+        assert ball.contains_mask(X).tolist() == [ball.contains(x) for x in xs]
+
+
+def test_cosine_contains_mask_edge_and_zero_rows():
+    ball = CosineBall((1.0, 0.0), 1.0)
+    X = np.array([[0.0, 1.0], [0.0, 0.0], [-0.0, 0.0], [1.0, 1.0], [-1.0, 1e-9]])
+    # (0, 1) lies at distance exactly 1; zero rows are outside every ball
+    assert ball.contains_mask(X).tolist() == [True, False, False, True, False]
+    with pytest.raises(QueryError):
+        ball.contains_mask(np.array([[1e-200, 0.0]]))
+
+
+def test_formula_contains_mask_matches_contains():
+    q = FormulaQuery(parse("(or (and x0 (not x1)) (<= x1 0.25))", 2), 2)
+    xs = [(1.0, 0.0), (1.0, 1.0), (0.0, 0.25), (0.0, 0.5), (0.3, 0.2)]
+    assert q.contains_mask(np.array(xs)).tolist() == [q.contains(x) for x in xs]
+    assert TrueQuery().contains_mask(np.zeros((3, 2))).tolist() == [True] * 3
 
 
 def test_cosine_ball_rejects_bad_arguments():

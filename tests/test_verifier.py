@@ -1,16 +1,25 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pacexplain import test_suite_size as suite_size
 from pacexplain import (
     FALSE,
     TRUE,
+    CosineBall,
     DecisionTreeModel,
+    Empirical,
     FormulaQuery,
     TrueQuery,
+    UniformBox,
+    VerifierOutcome,
     estimate_query_accuracy,
+    evaluate,
+    load_dataset,
     parse,
     uniform_boolean,
     verify,
@@ -205,3 +214,119 @@ def test_estimate_accuracy_of_wrong_formula(zoo_tree):
     )
     assert hits == draws == 20000
     assert math.isclose(acc, 0.75, abs_tol=0.02)
+
+
+# --- the block kernels against one-draw-at-a-time references -----------------
+
+
+def scalar_verify(f, model, query, target, dist, epsilon, delta, iteration, r, batch_limit):
+    """The scalar loop `verify` replaced: one draw, one test at a time."""
+    n = suite_size(epsilon, delta, iteration)
+    counterexamples = {}
+    tested = 0
+    in_region = 0
+    for _ in range(n):
+        x = dist.sample(r)
+        tested += 1
+        if not query.contains(x):
+            continue
+        in_region += 1
+        satisfied = evaluate(f, x)
+        if satisfied == (model.classify(x) == target) or x in counterexamples:
+            continue
+        counterexamples[x] = 0 if satisfied else 1
+        if len(counterexamples) >= batch_limit:
+            break
+    return VerifierOutcome(
+        passed=not counterexamples,
+        tested_count=tested,
+        counterexamples=tuple(counterexamples.items()),
+        suite_size=n,
+        in_region_count=in_region,
+    )
+
+
+def scalar_estimate(f, model, query, target, dist, r, n_target, max_draws):
+    """The scalar loop `estimate_query_accuracy` replaced."""
+    hits = agree = draws = 0
+    for _ in range(max_draws):
+        x = dist.sample(r)
+        draws += 1
+        if not query.contains(x):
+            continue
+        hits += 1
+        agree += evaluate(f, x) == (model.classify(x) == target)
+        if hits >= n_target:
+            break
+    return (agree / hits if hits else None), hits, draws
+
+
+def _cases(zoo_tree, iris_mlp, data_dir):
+    iris = Empirical(load_dataset(str(data_dir / "iris.csv")), sigma=0.05)
+    ball = CosineBall((0.6, 0.4, 0.8, 0.8), 0.5)
+    return {
+        # wrong on about 1 draw in 128, so cuts land past the first chunks
+        "zoo-rare": (
+            parse("(and x11 (not x9) (not (and x0 x1 x2 x3 x4)))", 16),
+            zoo_tree, TrueQuery(16), "fish", uniform_boolean(16),
+        ),
+        "zoo-region": (
+            parse("x11", 16), zoo_tree, FormulaQuery(parse("(and x3 x5)", 16), 16),
+            "fish", uniform_boolean(16),
+        ),
+        "iris-ball": (
+            parse("(> x2 0.5)", 4), iris_mlp, ball, "virginica", UniformBox([0.0] * 4, [1.0] * 4),
+        ),
+        "iris-empirical": (parse("(> x3 0.75)", 4), iris_mlp, ball, "virginica", iris),
+    }
+
+
+@pytest.mark.parametrize("case", ["zoo-rare", "zoo-region", "iris-ball", "iris-empirical"])
+@pytest.mark.parametrize("batch_limit", [1, 3])
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), iteration=st.integers(1, 6))
+def test_verify_matches_scalar_loop_and_stream(
+    zoo_tree, iris_mlp, data_dir, case, batch_limit, seed, iteration
+):
+    f, model, query, target, dist = _cases(zoo_tree, iris_mlp, data_dir)[case]
+    a, b = rng(seed), rng(seed)
+    args = (f, model, query, target, dist, 0.01, 0.05, iteration)
+    got = verify(*args, a, batch_limit=batch_limit)
+    assert got == scalar_verify(*args, b, batch_limit)
+    # the next suite starts where the scalar loop would have started it
+    assert a.bit_generator.state == b.bit_generator.state
+
+
+@pytest.mark.parametrize("case", ["zoo-rare", "zoo-region", "iris-ball", "iris-empirical"])
+@settings(max_examples=10, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_target=st.integers(1, 1500),
+    max_draws=st.integers(1, 3000),
+)
+def test_estimate_matches_scalar_loop_and_stream(
+    zoo_tree, iris_mlp, data_dir, case, seed, n_target, max_draws
+):
+    f, model, query, target, dist = _cases(zoo_tree, iris_mlp, data_dir)[case]
+    a, b = rng(seed), rng(seed)
+    args = (f, model, query, target, dist)
+    got = estimate_query_accuracy(*args, a, n_target, max_draws=max_draws)
+    assert got == scalar_estimate(*args, b, n_target, max_draws)
+    assert a.bit_generator.state == b.bit_generator.state
+
+
+def test_verify_working_set_is_bounded(zoo_tree):
+    # ε = 5e-4 at iteration 50 is a suite of 75306 draws; drawn as one block
+    # it would take 75306 * 16 * 8 bytes, about 9.6 MB
+    f = parse("(and x11 (not x9))", 16)
+    dist = uniform_boolean(16)
+    n = suite_size(5e-4, 0.05, 50)
+    whole_suite = n * dist.arity * 8
+    tracemalloc.start()
+    try:
+        out = verify(f, zoo_tree, TrueQuery(16), "fish", dist, 5e-4, 0.05, 50, rng(0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.passed and out.tested_count == n
+    assert peak < whole_suite / 5
