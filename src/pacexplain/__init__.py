@@ -67,8 +67,6 @@ from .distribution import (
     UniformBox,
     default_distribution,
     distribution_from_json,
-    uniform_boolean,
-    uniform_box,
 )
 from .synthesizer import (
     Grammar,

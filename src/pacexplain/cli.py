@@ -161,7 +161,11 @@ def _build_config(args):
         if os.path.exists(text):
             with open(text, "r", encoding="utf-8") as fh:
                 text = fh.read()
-        distribution = distribution_from_json(json.loads(text))
+        spec = json.loads(text)
+        if "empirical" in spec:
+            # the report keeps this path, and replay may run from another directory
+            spec["empirical"]["dataset"] = os.path.abspath(spec["empirical"]["dataset"])
+        distribution = distribution_from_json(spec)
 
     query = load_query(args.query, model.arity, names)
     target = _resolve_class(model, args.target_class)

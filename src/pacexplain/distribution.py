@@ -218,18 +218,10 @@ class Empirical(Distribution):
         return {"empirical": {"dataset": self.path, "sigma": self.sigma}}
 
 
-def uniform_box(arity: int) -> UniformBox:
-    return UniformBox([0.0] * arity, [1.0] * arity)
-
-
 # ProductPerFeature keeps float keys as they are, so every distribution built
 # from this dict draws the same two value objects, and the points of many
 # runs share them
 _FAIR_BOOLEAN = ("categorical", {0.0: 0.5, 1.0: 0.5})
-
-
-def uniform_boolean(arity: int) -> ProductPerFeature:
-    return ProductPerFeature([_FAIR_BOOLEAN] * arity)
 
 
 def default_distribution(kinds: Sequence[str]) -> Distribution:

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import bisect
 import functools
-import heapq
 import itertools
 import time
 from dataclasses import dataclass
@@ -261,119 +260,71 @@ def is_consistent(f: Formula, sample: Sample) -> bool:
 
 # --- ordered candidate stream ------------------------------------------------
 #
-# Candidates are tuples of clause records; a clause record is
-# (key, literal_indices, covered_positives_mask). Records inside a size
-# group are sorted by key, and groups are combined so the overall stream is
-# strictly increasing in the candidate order.
+# A clause record is (literal_indices, covered_positives_mask), and a
+# candidate is a tuple of clause records. `group(k)` lists the records of
+# the k-literal clauses in itertools.combinations order over the sorted
+# literals, which is their candidate order. A level (s, m) holds the
+# candidates of total size s with m clauses. Every clause key starts with
+# the clause's size, so walking clause sizes upward, and each size group
+# from the record after the previous one, yields a level in candidate order.
 
 
-def _clause_key(k: int, lit_keys: tuple):
-    if k == 1:
-        return lit_keys[0]
-    return (k, 1, (5, k, lit_keys))
-
-
-def _make_group_fn(lits, masks_p, masks_n, admissible_only: bool):
-    lit_keys = [order_key(lit) for lit in lits]
+def _make_group_fn(lits, masks_p, masks_n):
+    """group(k): the k-literal clauses that reject every negative example."""
     cache = {}
 
     def group(k: int) -> list:
         if k in cache:
             return cache[k]
         records = []
-        if k == 1:
-            for i in range(len(lits)):
-                if admissible_only and masks_n[i]:
-                    continue
-                records.append((lit_keys[i], (i,), masks_p[i]))
-        else:
-            for combo in itertools.combinations(range(len(lits)), k):
-                if admissible_only:
-                    mn = masks_n[combo[0]]
-                    for i in combo[1:]:
-                        mn &= masks_n[i]
-                        if not mn:
-                            break
-                    if mn:
-                        continue
-                mp = masks_p[combo[0]]
-                for i in combo[1:]:
-                    mp &= masks_p[i]
-                key = _clause_key(k, tuple(lit_keys[i] for i in combo))
-                records.append((key, combo, mp))
+        for combo in itertools.combinations(range(len(lits)), k):
+            mn = masks_n[combo[0]]
+            for i in combo[1:]:
+                mn &= masks_n[i]
+                if not mn:
+                    break
+            if mn:
+                continue
+            mp = masks_p[combo[0]]
+            for i in combo[1:]:
+                mp &= masks_p[i]
+            records.append((combo, mp))
         cache[k] = records
         return records
 
     return group
 
 
-def _compositions(total: int, parts: int, max_part: int) -> list:
-    """Non-decreasing compositions of `total` into `parts` parts <= max_part."""
-    out = []
+def _level(group, s: int, m: int, max_lits: int, k_lo: int = 1, i_lo: int = 0):
+    """Clause tuples of total size s with m clauses, in candidate order.
 
-    def rec(remaining, left, lo, acc):
-        if left == 0:
-            if remaining == 0:
-                out.append(tuple(acc))
-            return
-        for k in range(lo, max_part + 1):
-            rest = remaining - k
-            if rest < k * (left - 1) or rest > max_part * (left - 1):
-                continue
-            acc.append(k)
-            rec(rest, left - 1, k, acc)
-            acc.pop()
-
-    rec(total, parts, 1, [])
-    return out
-
-
-def _combo_stream(group, composition: tuple) -> Iterator[tuple]:
-    """Clause tuples for one size composition, in candidate order."""
-    runs = [(k, len(list(grp))) for k, grp in itertools.groupby(composition)]
-
-    def rec(run_idx: int, prefix: tuple) -> Iterator[tuple]:
-        if run_idx == len(runs):
-            yield prefix
-            return
-        k, count = runs[run_idx]
-        for combo in itertools.combinations(group(k), count):
-            yield from rec(run_idx + 1, prefix + combo)
-
-    return rec(0, ())
-
-
-def _dnf_sort_key(clause_tuple: tuple):
-    return tuple(rec[0] for rec in clause_tuple)
+    The first clause is at least record i_lo of group(k_lo), or any record
+    of a larger group; the other m - 1 clauses follow it.
+    """
+    for k in range(k_lo, max_lits + 1):
+        rest = s - k
+        if rest < k * (m - 1) or rest > max_lits * (m - 1):
+            continue
+        records = group(k)
+        for i in range(i_lo if k == k_lo else 0, len(records)):
+            if m == 1:
+                yield (records[i],)
+            else:
+                for tail in _level(group, rest, m - 1, max_lits, k, i + 1):
+                    yield (records[i],) + tail
 
 
 def _candidate_stream(g: Grammar, group) -> Iterator[tuple]:
-    """Yields (constant_formula, None) or (None, clause_tuple) in order."""
+    """Every clause tuple of the grammar, level by level, in candidate order."""
     max_lits = g.max_literals_per_clause
-    max_total = g.max_clauses * max_lits
-    for s in range(1, max_total + 1):
-        if s == 1 and g.include_constants:
-            yield (FALSE, None)
-            yield (TRUE, None)
-        m_lo = max(1, -(-s // max_lits))
-        m_hi = min(g.max_clauses, s)
-        for m in range(m_lo, m_hi + 1):
-            if m == 1:
-                for rec in group(s):
-                    yield (None, (rec,))
-                continue
-            streams = [_combo_stream(group, comp) for comp in _compositions(s, m, max_lits)]
-            if len(streams) == 1:
-                for tup in streams[0]:
-                    yield (None, tup)
-            else:
-                for tup in heapq.merge(*streams, key=_dnf_sort_key):
-                    yield (None, tup)
+    for s in range(1, g.max_clauses * max_lits + 1):
+        for m in range(max(1, -(-s // max_lits)), min(g.max_clauses, s) + 1):
+            yield from _level(group, s, m, max_lits)
 
 
 def _build_formula(lits, clause_tuple: tuple) -> Formula:
     clauses = []
-    for _, combo, _ in clause_tuple:
+    for combo, _ in clause_tuple:
         if len(combo) == 1:
             clauses.append(lits[combo[0]])
         else:
@@ -385,14 +336,13 @@ def _build_formula(lits, clause_tuple: tuple) -> Formula:
 
 def enumerate_formulas(g: Grammar) -> Iterator[Formula]:
     """Every formula of the grammar class, canonical, strictly in order."""
+    if g.include_constants:
+        yield FALSE
+        yield TRUE
     lits = g.literals()
     zeros = [0] * len(lits)
-    group = _make_group_fn(lits, zeros, zeros, admissible_only=False)
-    for const, clause_tuple in _candidate_stream(g, group):
-        if const is not None:
-            yield const
-        else:
-            yield _build_formula(lits, clause_tuple)
+    for clause_tuple in _candidate_stream(g, _make_group_fn(lits, zeros, zeros)):
+        yield _build_formula(lits, clause_tuple)
 
 
 def _literal_masks(lits, points) -> list:
@@ -421,29 +371,27 @@ def synthesize(
     """
     positives = sample.positives()
     negatives = sample.negatives()
+    if g.include_constants:
+        if not positives:
+            return FALSE
+        if not negatives:
+            return TRUE
     lits = g.literals()
     masks_p = _literal_masks(lits, positives)
     masks_n = _literal_masks(lits, negatives)
     full_p = (1 << len(positives)) - 1
-    group = _make_group_fn(lits, masks_p, masks_n, admissible_only=True)
+    group = _make_group_fn(lits, masks_p, masks_n)
     checked = 0
-    for const, clause_tuple in _candidate_stream(g, group):
+    for clause_tuple in _candidate_stream(g, group):
         checked += 1
         if deadline is not None and checked % _DEADLINE_STRIDE == 0:
             if time.perf_counter() > deadline:
                 raise SynthesisDeadlineError(
                     f"candidate scan passed its deadline after {checked} candidates"
                 )
-        if const is not None:
-            if const is FALSE:
-                if not positives:
-                    return FALSE
-            elif not negatives:
-                return TRUE
-            continue
         covered = 0
         for rec in clause_tuple:
-            covered |= rec[2]
+            covered |= rec[1]
         if covered == full_p:
             return _build_formula(lits, clause_tuple)
     return None

@@ -143,6 +143,34 @@ def _bool3(**kw):
     )
 
 
+def _bool6_three_clauses():
+    """yes exactly when x0 or (x1 and x2) or (x3 and not x4 and x5)."""
+    third = {
+        "feature": 3, "threshold": 0.5,
+        "le": {"leaf": "no"},
+        "gt": {"feature": 4, "threshold": 0.5,
+               "le": {"feature": 5, "threshold": 0.5,
+                      "le": {"leaf": "no"}, "gt": {"leaf": "yes"}},
+               "gt": {"leaf": "no"}},
+    }
+    return px.RunConfig(
+        model=px.DecisionTreeModel(6, ["no", "yes"], {
+            "feature": 0, "threshold": 0.5,
+            "le": {
+                "feature": 1, "threshold": 0.5,
+                "le": third,
+                "gt": {"feature": 2, "threshold": 0.5,
+                       "le": third, "gt": {"leaf": "yes"}},
+            },
+            "gt": {"leaf": "yes"},
+        }),
+        query=px.TrueQuery(6),
+        target_class="yes",
+        grammar=px.default_grammar(["bool"] * 6, max_clauses=3, max_literals_per_clause=3),
+        seed=0,
+    )
+
+
 def _planted_tree():
     """target exactly when (x0 > 0.5 and x1 <= 0.25) or x2 > 0.75."""
     return px.DecisionTreeModel(4, ["other", "target"], {
@@ -226,6 +254,8 @@ CASES = {
     # a three-feature boolean tree
     "bool3-s0": lambda: _bool3(seed=0),
     "bool3-batch5-s0": lambda: _bool3(seed=0, counterexample_batch=5),
+    # three clauses of sizes 1, 2 and 3: the scan's m >= 3 levels
+    "bool6-three-clauses-s0": _bool6_three_clauses,
     # MLPs in a cosine ball, real features
     "iris-occam-s11": lambda: _iris(seed=11),
     "iris-occam-batch3-s5": lambda: _iris(seed=5, counterexample_batch=3),

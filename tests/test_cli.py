@@ -54,6 +54,23 @@ def test_explain_writes_report_and_replay_reproduces(data_dir, tmp_path, capsys)
     assert "reproduced bit-for-bit" in capsys.readouterr().out
 
 
+def test_replay_of_empirical_run_from_another_directory(
+    data_dir, tmp_path, capsys, monkeypatch
+):
+    monkeypatch.chdir(data_dir)
+    dist = json.dumps({"empirical": {"dataset": "iris.csv", "sigma": 0.05}})
+    path = tmp_path / "report.json"
+    code = main([
+        "explain", "--model", "mlp_iris.json", "--class", "virginica",
+        "--distribution", dist, "--seed", "4", "--out", str(path),
+    ])
+    assert code == 0
+    capsys.readouterr()
+    monkeypatch.chdir(tmp_path)
+    assert main(["replay", str(path)]) == 0
+    assert "reproduced bit-for-bit" in capsys.readouterr().out
+
+
 def test_exit_two_when_grammar_has_no_explanation(data_dir, tmp_path, capsys):
     # the tree ignores hair, so a hair-only grammar exhausts its class
     grammar = tmp_path / "hair.json"

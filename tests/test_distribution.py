@@ -15,8 +15,6 @@ from pacexplain import (
     default_distribution,
     distribution_from_json,
     load_dataset,
-    uniform_boolean,
-    uniform_box,
 )
 
 
@@ -26,8 +24,8 @@ def rng(seed=0):
 
 def test_same_seed_same_stream():
     for dist in (
-        uniform_box(3),
-        uniform_boolean(4),
+        UniformBox([0.0] * 3, [1.0] * 3),
+        default_distribution(["bool"] * 4),
         ProductPerFeature([("interval", -1, 2), ("categorical", {0: 1, 3: 2})]),
     ):
         a = [dist.sample(rng(42)) for _ in range(1)]
@@ -39,7 +37,7 @@ def test_same_seed_same_stream():
 
 
 def test_different_seeds_differ():
-    dist = uniform_box(3)
+    dist = UniformBox([0.0] * 3, [1.0] * 3)
     assert dist.sample(rng(1)) != dist.sample(rng(2))
 
 
@@ -60,7 +58,7 @@ def test_uniform_box_validation():
 
 
 def test_uniform_boolean_is_fair():
-    dist = uniform_boolean(2)
+    dist = default_distribution(["bool"] * 2)
     r = rng(3)
     xs = [dist.sample(r) for _ in range(4000)]
     assert all(set(x) <= {0.0, 1.0} for x in xs)
@@ -178,7 +176,7 @@ PRODUCT = ProductPerFeature(
 STREAMS = {
     "box": UniformBox([0.0, -1.0, 2.0], [1.0, 1.0, 2.0]),
     "product": PRODUCT,
-    "boolean": uniform_boolean(16),
+    "boolean": default_distribution(["bool"] * 16),
     "empirical": Empirical(load_dataset(IRIS), sigma=0.05),
     "empirical-quiet": Empirical(load_dataset(IRIS), sigma=0.0),
 }
@@ -272,7 +270,7 @@ def test_inverse_cdf_block_matches_scalar_at_every_edge(us):
 
 
 def test_points_share_the_categorical_value_objects():
-    dist = uniform_boolean(4)
+    dist = default_distribution(["bool"] * 4)
     X = dist.sample_block(rng(2), 20)
     scalar = scalar_draws(dist, rng(2), 20)
     values = dist.specs[0][1]

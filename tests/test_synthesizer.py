@@ -3,7 +3,7 @@
 The oracle for `enumerate_formulas` and `synthesize` is an independent
 brute-force construction: materialize every DNF of the class with
 itertools.combinations, sort by the candidate order, and compare. It shares
-no code with the lazy heap-merged stream it checks.
+no code with the lazy level-by-level recursion it checks.
 """
 
 import itertools
@@ -79,9 +79,15 @@ MIXED = Grammar(
     max_clauses=2,
     max_literals_per_clause=3,
 )
+# three clauses: the levels of size 5 and 6 mix the clause sizes (1,1,3) with
+# (1,2,2), and (1,2,3) with (2,2,2)
+MIXED3 = Grammar(MIXED.features, max_clauses=3, max_literals_per_clause=3)
+ENUMERATED = pytest.mark.parametrize(
+    "g", [BOOL2, REAL1, MIXED, MIXED3], ids=["bool2", "real1", "mixed", "mixed3"]
+)
 
 
-@pytest.mark.parametrize("g", [BOOL2, REAL1, MIXED], ids=["bool2", "real1", "mixed"])
+@ENUMERATED
 def test_enumeration_equals_brute_force(g):
     want = brute_force_class(g)
     got = list(enumerate_formulas(g))
@@ -103,7 +109,7 @@ def test_enumeration_first_candidates_frozen():
     ]
 
 
-@pytest.mark.parametrize("g", [BOOL2, REAL1, MIXED], ids=["bool2", "real1", "mixed"])
+@ENUMERATED
 def test_enumeration_strictly_increasing_and_unique(g):
     stream = list(enumerate_formulas(g))
     for prev, nxt in zip(stream, stream[1:]):
@@ -172,6 +178,7 @@ grammars = st.sampled_from(
     [
         BOOL2,
         MIXED,
+        MIXED3,
         Grammar(
             (
                 GrammarFeature(1, "real", (0.25, 0.5), ("<", ">")),

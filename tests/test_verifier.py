@@ -17,11 +17,11 @@ from pacexplain import (
     TrueQuery,
     UniformBox,
     VerifierOutcome,
+    default_distribution,
     estimate_query_accuracy,
     evaluate,
     load_dataset,
     parse,
-    uniform_boolean,
     verify,
     violation_label,
 )
@@ -29,6 +29,9 @@ from pacexplain import (
 
 def rng(seed=0):
     return np.random.Generator(np.random.PCG64(seed))
+
+
+BOOL16 = default_distribution(["bool"] * 16)
 
 
 def test_suite_size_frozen_values():
@@ -79,7 +82,7 @@ def test_violation_label_rule(zoo_tree):
 def test_verify_pass_consumes_full_suite(zoo_tree):
     f = parse("(and x11 (not x9))", 16)
     out = verify(
-        f, zoo_tree, TrueQuery(16), "fish", uniform_boolean(16),
+        f, zoo_tree, TrueQuery(16), "fish", BOOL16,
         0.05, 0.05, 3, rng(1),
     )
     assert out.passed
@@ -92,7 +95,7 @@ def test_verify_pass_consumes_full_suite(zoo_tree):
 
 def test_verify_short_circuits_on_first_violation(zoo_tree):
     out = verify(
-        TRUE, zoo_tree, TrueQuery(16), "fish", uniform_boolean(16),
+        TRUE, zoo_tree, TrueQuery(16), "fish", BOOL16,
         0.05, 0.05, 1, rng(2),
     )
     assert not out.passed
@@ -106,20 +109,20 @@ def test_verify_short_circuits_on_first_violation(zoo_tree):
 
 def test_verify_batch_limit(zoo_tree):
     out = verify(
-        TRUE, zoo_tree, TrueQuery(16), "fish", uniform_boolean(16),
+        TRUE, zoo_tree, TrueQuery(16), "fish", BOOL16,
         0.05, 0.05, 1, rng(2), batch_limit=5,
     )
     assert not out.passed
     assert len(out.counterexamples) == 5
     with pytest.raises(ValueError):
         verify(
-            TRUE, zoo_tree, TrueQuery(16), "fish", uniform_boolean(16),
+            TRUE, zoo_tree, TrueQuery(16), "fish", BOOL16,
             0.05, 0.05, 1, rng(2), batch_limit=0,
         )
 
 
 def test_verify_deterministic_under_seed(zoo_tree):
-    args = (TRUE, zoo_tree, TrueQuery(16), "fish", uniform_boolean(16), 0.05, 0.05, 2)
+    args = (TRUE, zoo_tree, TrueQuery(16), "fish", BOOL16, 0.05, 0.05, 2)
     a = verify(*args, rng(7), batch_limit=3)
     b = verify(*args, rng(7), batch_limit=3)
     assert a == b
@@ -131,7 +134,7 @@ def test_verify_respects_query_region(zoo_tree):
     # inside (not x11) the tree never answers fish, so FALSE is perfect
     region = FormulaQuery(parse("(not x11)", 16), 16)
     out = verify(
-        FALSE, zoo_tree, region, "fish", uniform_boolean(16),
+        FALSE, zoo_tree, region, "fish", BOOL16,
         0.05, 0.05, 1, rng(3),
     )
     assert out.passed
@@ -148,7 +151,7 @@ def test_verify_collects_distinct_counterexamples():
         "le": {"leaf": "no"}, "gt": {"leaf": "yes"},
     })
     out = verify(
-        FALSE, tree, TrueQuery(3), "yes", uniform_boolean(3),
+        FALSE, tree, TrueQuery(3), "yes", default_distribution(["bool"] * 3),
         0.05, 0.05, 1, rng(4), batch_limit=5,
     )
     points = [x for x, _ in out.counterexamples]
@@ -164,31 +167,31 @@ def test_estimate_true_error_const_true(zoo_tree):
     # fish needs fins and not breathes: exactly 1/4 of the uniform boolean
     # cube, so claiming fish everywhere is wrong on 3/4 of it
     acc, _, _ = estimate_query_accuracy(
-        TRUE, zoo_tree, TrueQuery(16), "fish", uniform_boolean(16), rng(5), 100000
+        TRUE, zoo_tree, TrueQuery(16), "fish", BOOL16, rng(5), 100000
     )
     assert math.isclose(1.0 - acc, 0.75, abs_tol=0.01)
     perfect = parse("(and x11 (not x9))", 16)
     acc, _, _ = estimate_query_accuracy(
-        perfect, zoo_tree, TrueQuery(16), "fish", uniform_boolean(16), rng(5), 2000
+        perfect, zoo_tree, TrueQuery(16), "fish", BOOL16, rng(5), 2000
     )
     assert 1.0 - acc == 0.0
     with pytest.raises(ValueError):
         estimate_query_accuracy(
-            TRUE, zoo_tree, TrueQuery(16), "fish", uniform_boolean(16), rng(5), 0
+            TRUE, zoo_tree, TrueQuery(16), "fish", BOOL16, rng(5), 0
         )
 
 
 def test_estimate_query_accuracy(zoo_tree):
     f = parse("(and x11 (not x9))", 16)
     acc, hits, draws = estimate_query_accuracy(
-        f, zoo_tree, TrueQuery(16), "fish", uniform_boolean(16), rng(6), 500
+        f, zoo_tree, TrueQuery(16), "fish", BOOL16, rng(6), 500
     )
     assert acc == 1.0
     assert hits == 500
     assert draws == 500
     # an always-false region yields an undefined accuracy
     acc, hits, draws = estimate_query_accuracy(
-        f, zoo_tree, FormulaQuery(FALSE, 16), "fish", uniform_boolean(16), rng(6), 100
+        f, zoo_tree, FormulaQuery(FALSE, 16), "fish", BOOL16, rng(6), 100
     )
     assert acc is None
     assert hits == 0
@@ -196,20 +199,20 @@ def test_estimate_query_accuracy(zoo_tree):
     # narrow regions stop at max_draws, not at the target
     narrow = FormulaQuery(parse("(and x0 (and x1 (and x2 x3)))", 16), 16)
     acc, hits, draws = estimate_query_accuracy(
-        f, zoo_tree, narrow, "fish", uniform_boolean(16), rng(6), 1000, max_draws=2000
+        f, zoo_tree, narrow, "fish", BOOL16, rng(6), 1000, max_draws=2000
     )
     assert hits < 1000
     assert draws == 2000
     with pytest.raises(ValueError):
         estimate_query_accuracy(
-            f, zoo_tree, TrueQuery(16), "fish", uniform_boolean(16), rng(6), 0
+            f, zoo_tree, TrueQuery(16), "fish", BOOL16, rng(6), 0
         )
 
 
 def test_estimate_accuracy_of_wrong_formula(zoo_tree):
     # x11 alone over-claims breathers with fins (1/4 of the cube)
     acc, hits, draws = estimate_query_accuracy(
-        parse("x11", 16), zoo_tree, TrueQuery(16), "fish", uniform_boolean(16),
+        parse("x11", 16), zoo_tree, TrueQuery(16), "fish", BOOL16,
         rng(9), 20000,
     )
     assert hits == draws == 20000
@@ -268,11 +271,11 @@ def _cases(zoo_tree, iris_mlp, data_dir):
         # wrong on about 1 draw in 128, so cuts land past the first chunks
         "zoo-rare": (
             parse("(and x11 (not x9) (not (and x0 x1 x2 x3 x4)))", 16),
-            zoo_tree, TrueQuery(16), "fish", uniform_boolean(16),
+            zoo_tree, TrueQuery(16), "fish", BOOL16,
         ),
         "zoo-region": (
             parse("x11", 16), zoo_tree, FormulaQuery(parse("(and x3 x5)", 16), 16),
-            "fish", uniform_boolean(16),
+            "fish", BOOL16,
         ),
         "iris-ball": (
             parse("(> x2 0.5)", 4), iris_mlp, ball, "virginica", UniformBox([0.0] * 4, [1.0] * 4),
@@ -319,7 +322,7 @@ def test_verify_working_set_is_bounded(zoo_tree):
     # ε = 5e-4 at iteration 50 is a suite of 75306 draws; drawn as one block
     # it would take 75306 * 16 * 8 bytes, about 9.6 MB
     f = parse("(and x11 (not x9))", 16)
-    dist = uniform_boolean(16)
+    dist = BOOL16
     n = suite_size(5e-4, 0.05, 50)
     whole_suite = n * dist.arity * 8
     tracemalloc.start()
