@@ -55,7 +55,6 @@ from .model import (
     load_manifest,
     load_model,
     model_from_json,
-    relabel,
     save_manifest,
     save_model,
 )

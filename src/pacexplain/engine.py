@@ -181,7 +181,12 @@ def explain(cfg: RunConfig) -> RunResult:
         t0 = time.perf_counter()
         try:
             if cfg.strategy == "occam":
-                candidate = synthesize(sample, cfg.grammar, deadline=hard_deadline)
+                # every candidate before the refuted conjecture was ruled out
+                # by a subset of this sample, and the conjecture itself
+                # misclassifies its counterexamples: resume right after it
+                candidate = synthesize(
+                    sample, cfg.grammar, deadline=hard_deadline, after=conjecture
+                )
             else:
                 candidate = synthesize_general(sample, cfg.grammar)
         except SynthesisDeadlineError:

@@ -467,20 +467,6 @@ def _apply_manifest(path, feature_names, columns, labels, manifest) -> Dataset:
     return Dataset(list(feature_names), kinds, rows, bounds, categorical, list(classes))
 
 
-def relabel(data: Dataset, model: Model) -> Dataset:
-    """Copy of `data` with class labels replaced by model predictions."""
-    rows = [(x, model.classify(x)) for x, _ in data.rows]
-    classes = sorted(set(label for _, label in rows), key=repr)
-    return Dataset(
-        list(data.feature_names),
-        list(data.kinds),
-        rows,
-        list(data.bounds),
-        dict(data.categorical),
-        classes,
-    )
-
-
 def accuracy_on(classifier, data: Dataset, query: Optional[Query], target_class):
     """Agreement of a classifier with dataset labels on the target class.
 

@@ -20,6 +20,13 @@ soundly: any clause of a consistent DNF must reject every negative example,
 so clauses satisfied by some negative are dropped before combination;
 single-clause candidates must additionally cover every positive.
 
+`synthesize(..., after=f)` starts the scan strictly after the formula f.
+The occam loop resumes each round right after the conjecture the verifier
+just refuted, and gets the same answer as a scan from the start: the
+sample only grows, so every candidate before the conjecture is still
+inconsistent with it, and the conjecture itself misclassifies its new
+counterexamples.
+
 `synthesize_general` is a deliberately non-minimizing alternative used to
 approximate unconstrained synthesis: it covers each positive example with
 the grammar-grid cell around it, which is fast and overfits.
@@ -40,11 +47,14 @@ from .formula import (
     And,
     Atom,
     BoolAtom,
+    ConstFalse,
+    ConstTrue,
     Formula,
     Not,
     Or,
     evaluate,
     order_key,
+    render,
     size,
 )
 
@@ -295,31 +305,90 @@ def _make_group_fn(lits, masks_p, masks_n):
     return group
 
 
-def _level(group, s: int, m: int, max_lits: int, k_lo: int = 1, i_lo: int = 0):
+def _level(group, s: int, m: int, max_lits: int, k_lo: int = 1, i_lo: int = 0,
+           floor: tuple = ()):
     """Clause tuples of total size s with m clauses, in candidate order.
 
     The first clause is at least record i_lo of group(k_lo), or any record
-    of a larger group; the other m - 1 clauses follow it.
+    of a larger group; the other m - 1 clauses follow it. A floor, the
+    literal-index combos of a candidate of this level, restricts the
+    output to the candidates strictly after it.
     """
+    fk = len(floor[0]) if floor else 0
     for k in range(k_lo, max_lits + 1):
         rest = s - k
-        if rest < k * (m - 1) or rest > max_lits * (m - 1):
+        if k < fk or rest < k * (m - 1) or rest > max_lits * (m - 1):
             continue
         records = group(k)
-        for i in range(i_lo if k == k_lo else 0, len(records)):
+        i = i_lo if k == k_lo else 0
+        if k == fk:
+            # the floor's clause may have left the group since its sample, so
+            # resume at the first record not before it; (combo,) sorts just
+            # before the record (combo, mask)
+            i = max(i, bisect.bisect_left(records, (floor[0],)))
+            if i < len(records) and records[i][0] == floor[0]:
+                if m > 1:
+                    tails = _level(group, rest, m - 1, max_lits, k, i + 1, floor[1:])
+                    for tail in tails:
+                        yield (records[i],) + tail
+                i += 1
+        for j in range(i, len(records)):
             if m == 1:
-                yield (records[i],)
+                yield (records[j],)
             else:
-                for tail in _level(group, rest, m - 1, max_lits, k, i + 1):
-                    yield (records[i],) + tail
+                for tail in _level(group, rest, m - 1, max_lits, k, j + 1):
+                    yield (records[j],) + tail
 
 
-def _candidate_stream(g: Grammar, group) -> Iterator[tuple]:
-    """Every clause tuple of the grammar, level by level, in candidate order."""
+def _candidate_stream(g: Grammar, group, floor: tuple = ()) -> Iterator[tuple]:
+    """Every clause tuple of the grammar, level by level, in candidate order.
+
+    With a floor (see `_level`), the stream starts strictly after it.
+    """
     max_lits = g.max_literals_per_clause
-    for s in range(1, g.max_clauses * max_lits + 1):
-        for m in range(max(1, -(-s // max_lits)), min(g.max_clauses, s) + 1):
-            yield from _level(group, s, m, max_lits)
+    s0, m0 = sum(map(len, floor)), len(floor)
+    for s in range(max(1, s0), g.max_clauses * max_lits + 1):
+        m_lo = m0 if s == s0 else max(1, -(-s // max_lits))
+        for m in range(m_lo, min(g.max_clauses, s) + 1):
+            start = floor if (s, m) == (s0, m0) else ()
+            yield from _level(group, s, m, max_lits, floor=start)
+
+
+def _clause_floor(g: Grammar, lits, f: Formula) -> tuple:
+    """The literal-index combos of f's clauses, as `_level` takes a floor.
+
+    Constants map to () (the first clause candidate). Raises GrammarError
+    when f is not in the grammar's DNF class. `Or` and `And` keep their
+    children in candidate order, so the combos come out sorted.
+    """
+    if isinstance(f, (ConstTrue, ConstFalse)):
+        return ()
+    # explanations share the grammar's literal objects, so look up by identity
+    index = {id(lit): i for i, lit in enumerate(lits)}
+    clauses = f.children if isinstance(f, Or) else (f,)
+    if len(clauses) > g.max_clauses:
+        raise GrammarError(f"{render(f)} has more than {g.max_clauses} clauses")
+    combos = []
+    for clause in clauses:
+        parts = clause.children if isinstance(clause, And) else (clause,)
+        if len(parts) > g.max_literals_per_clause:
+            raise GrammarError(
+                f"{render(f)} has a clause longer than {g.max_literals_per_clause}"
+            )
+        combo = []
+        for lit in parts:
+            i = index.get(id(lit))
+            if i is None:
+                if lit not in lits:
+                    raise GrammarError(
+                        f"{render(lit)} in {render(f)} is not a grammar literal"
+                    )
+                i = lits.index(lit)
+            combo.append(i)
+        combos.append(tuple(combo))
+    if len(set(combos)) < len(combos) or any(len(set(c)) < len(c) for c in combos):
+        raise GrammarError(f"{render(f)} repeats a clause or a literal")
+    return tuple(combos)
 
 
 def _build_formula(lits, clause_tuple: tuple) -> Formula:
@@ -360,29 +429,37 @@ _DEADLINE_STRIDE = 4096
 
 
 def synthesize(
-    sample: Sample, g: Grammar, deadline: Optional[float] = None
+    sample: Sample,
+    g: Grammar,
+    deadline: Optional[float] = None,
+    after: Optional[Formula] = None,
 ) -> Optional[Formula]:
     """First sample-consistent formula in candidate order, else None.
 
-    None means the entire (finite) class is inconsistent with the sample.
+    With `after`, a formula of the grammar class, the scan starts strictly
+    after it: the answer is the first consistent formula that follows it.
+    A formula outside the class raises GrammarError.
+
+    None means the (rest of the finite) class is inconsistent with the sample.
     A contradictory sample cannot be constructed (Sample.add rejects it), so
     that failure mode is reported by InconsistentSampleError at insertion,
     never conflated with exhaustion here.
     """
+    lits = g.literals()
+    floor = () if after is None else _clause_floor(g, lits, after)
     positives = sample.positives()
     negatives = sample.negatives()
     if g.include_constants:
-        if not positives:
+        if not positives and after is None:
             return FALSE
-        if not negatives:
+        if not negatives and (after is None or after == FALSE):
             return TRUE
-    lits = g.literals()
     masks_p = _literal_masks(lits, positives)
     masks_n = _literal_masks(lits, negatives)
     full_p = (1 << len(positives)) - 1
     group = _make_group_fn(lits, masks_p, masks_n)
     checked = 0
-    for clause_tuple in _candidate_stream(g, group):
+    for clause_tuple in _candidate_stream(g, group, floor):
         checked += 1
         if deadline is not None and checked % _DEADLINE_STRIDE == 0:
             if time.perf_counter() > deadline:

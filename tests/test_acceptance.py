@@ -1,4 +1,6 @@
-"""Acceptance suite: eight end-to-end checks at fixed tolerances.
+"""Acceptance suite: eight end-to-end criteria at fixed tolerances.
+
+Criterion 2 is checked twice, on boolean and on real features.
 
 Each test prints exactly one `criterion N: PASS/FAIL` line (run with -s to
 see them on success) and asserts the same verdict, so the suite doubles as
@@ -12,12 +14,19 @@ import numpy as np
 import pytest
 
 from pacexplain import (
+    FALSE,
+    TRUE,
+    And,
+    Atom,
     CosineBall,
     FormulaQuery,
     Grammar,
     InconsistentSampleError,
+    Or,
     RunConfig,
     Sample,
+    TrueQuery,
+    UniformBox,
     accuracy_on,
     check_run_invariants,
     default_grammar,
@@ -27,6 +36,7 @@ from pacexplain import (
     explain,
     features_of,
     is_consistent,
+    model_from_json,
     parse,
     render,
     synthesize,
@@ -166,6 +176,137 @@ def test_criterion_2_pac_guarantee(zoo_tree):
         ok,
         f"{bad}/{runs} runs certified a >=0.1-error formula"
         f" (outcomes {outcomes}, {elapsed:.1f}s)",
+    )
+
+
+# 2, real features. Trees split at thresholds off the grammar's grid
+#    (0.52, 0.61, 0.6 and 0.45, 0.27 and 0.77 against 0.25/0.5/0.75), so
+#    no formula of the class is exact and some only err by a little over
+#    epsilon. Each run certifies a formula with exact error > epsilon with
+#    probability at most delta, so over N independent runs at
+#    epsilon = delta = 0.1 the count of such runs is at most
+#    Binomial(N, delta); it must not exceed the count that Binomial(N, delta)
+#    exceeds with probability below 1e-3.
+def _leaf(label):
+    return {"leaf": label}
+
+
+def _split(feature, threshold, le, gt):
+    return {"feature": feature, "threshold": threshold, "le": le, "gt": gt}
+
+
+REAL_TREES = {
+    "x0 > 0.52": _split(0, 0.52, _leaf("no"), _leaf("yes")),
+    "x0 > 0.61": _split(0, 0.61, _leaf("no"), _leaf("yes")),
+    "x0 > 0.6 and x1 <= 0.45": _split(
+        0, 0.6, _leaf("no"), _split(1, 0.45, _leaf("yes"), _leaf("no"))
+    ),
+    "x0 <= 0.27 or x1 > 0.77": _split(
+        0, 0.27, _leaf("yes"), _split(1, 0.77, _leaf("no"), _leaf("yes"))
+    ),
+}
+
+
+def _tree_label(node, x):
+    while "leaf" not in node:
+        node = node["le"] if x[node["feature"]] <= node["threshold"] else node["gt"]
+    return node["leaf"]
+
+
+def _tree_thresholds(node, feature):
+    if "leaf" in node:
+        return set()
+    found = _tree_thresholds(node["le"], feature) | _tree_thresholds(node["gt"], feature)
+    if node["feature"] == feature:
+        found.add(node["threshold"])
+    return found
+
+
+def _holds(f, x):
+    """The test's own evaluator for the grammar's DNFs over `<`/`>` atoms."""
+    if isinstance(f, Or):
+        return any(_holds(c, x) for c in f.children)
+    if isinstance(f, And):
+        return all(_holds(c, x) for c in f.children)
+    if isinstance(f, Atom):
+        assert f.op in ("<", ">")
+        return x[f.feature] < f.constant if f.op == "<" else x[f.feature] > f.constant
+    assert f in (TRUE, FALSE)
+    return f == TRUE
+
+
+def _cell_error(formula, root, grammar):
+    """Uniform-[0,1]^d mass where formula and tree disagree.
+
+    Both are constant on every open cell of the merged grid of grammar
+    constants and tree thresholds; the cell boundaries have measure zero.
+    """
+    axes = []
+    for f in grammar.features:
+        edges = sorted({0.0, 1.0, *f.constants, *_tree_thresholds(root, f.index)})
+        axes.append([((a + b) / 2.0, b - a) for a, b in zip(edges, edges[1:])])
+    error = 0.0
+    for cell in itertools.product(*axes):
+        x = [mid for mid, _ in cell]
+        if _holds(formula, x) != (_tree_label(root, x) == "yes"):
+            error += float(np.prod([width for _, width in cell]))
+    return error
+
+
+def _binomial_allowance(n, p, false_alarm=1e-3):
+    """Smallest k with P(Binomial(n, p) > k) < false_alarm."""
+    pmf = (1.0 - p) ** n
+    cdf = pmf
+    k = 0
+    while 1.0 - cdf >= false_alarm and k < n:
+        pmf *= (n - k) / (k + 1) * p / (1.0 - p)
+        k += 1
+        cdf += pmf
+    return k
+
+
+def test_criterion_2_pac_guarantee_on_real_features():
+    grammar = default_grammar(["real", "real"], max_clauses=2, max_literals_per_clause=2)
+    epsilon = delta = 0.1
+    seeds = 250
+    t0 = time.perf_counter()
+    runs = bad = certified = 0
+    per_tree = {}
+    for name, root in REAL_TREES.items():
+        model = model_from_json(
+            {"type": "tree", "arity": 2, "classes": ["no", "yes"], "root": root}
+        )
+        for seed in range(seeds):
+            result = explain(
+                RunConfig(
+                    model=model,
+                    query=TrueQuery(2),
+                    target_class="yes",
+                    grammar=grammar,
+                    distribution=UniformBox([0.0, 0.0], [1.0, 1.0]),
+                    epsilon=epsilon,
+                    delta=delta,
+                    seed=seed,
+                    accuracy_samples=0,
+                )
+            )
+            assert result.outcome in ("explanation", "no-explanation")
+            runs += 1
+            if result.certified:
+                certified += 1
+                over = _cell_error(result.explanation, root, grammar) > epsilon
+                bad += over
+                per_tree[name] = per_tree.get(name, 0) + over
+    elapsed = time.perf_counter() - t0
+    allowance = _binomial_allowance(runs, delta)
+    # a run set that certifies almost nothing would pass vacuously
+    ok = bad <= allowance and certified >= runs // 20 and elapsed < 300.0
+    _verdict(
+        2,
+        ok,
+        f"{bad}/{runs} runs certified a formula with exact error > {epsilon}"
+        f" (allowance {allowance}, {certified} certified, over epsilon by tree"
+        f" {per_tree}, {elapsed:.1f}s)",
     )
 
 

@@ -31,7 +31,6 @@ from pacexplain import (
     load_model,
     model_from_json,
     parse,
-    relabel,
     save_manifest,
     save_model,
     load_manifest,
@@ -424,12 +423,3 @@ def test_accuracy_on_empty_query_region_is_undefined(zoo_data):
 
     nothing = FormulaQuery(FALSE, 16)
     assert accuracy_on(parse("x0", 16), zoo_data, nothing, "fish") is None
-
-
-def test_relabel_uses_model_predictions(zoo_data, zoo_tree):
-    flipped = relabel(zoo_data, zoo_tree)
-    for (x, want), (x2, got) in zip(
-        [(x, zoo_tree.classify(x)) for x, _ in zoo_data.rows], flipped.rows
-    ):
-        assert x == x2 and want == got
-    assert set(flipped.classes) == {"other", "fish"}

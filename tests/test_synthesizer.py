@@ -6,12 +6,14 @@ itertools.combinations, sort by the candidate order, and compare. It shares
 no code with the lazy level-by-level recursion it checks.
 """
 
+import copy
+import functools
 import itertools
 import json
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pacexplain import (
@@ -197,9 +199,7 @@ grammars = st.sampled_from(
 )
 
 
-@given(grammars, sample_points, st.randoms(use_true_random=False))
-@settings(max_examples=60, deadline=None)
-def test_synthesize_equals_first_consistent_scan(g, points, rnd):
+def _random_sample(points, rnd):
     sample = Sample()
     for x in points:
         label = rnd.choice((0, 1))
@@ -207,6 +207,13 @@ def test_synthesize_equals_first_consistent_scan(g, points, rnd):
             sample.add(x, label)
         except InconsistentSampleError:
             pass
+    return sample
+
+
+@given(grammars, sample_points, st.randoms(use_true_random=False))
+@settings(max_examples=60, deadline=None)
+def test_synthesize_equals_first_consistent_scan(g, points, rnd):
+    sample = _random_sample(points, rnd)
     want = next(
         (f for f in enumerate_formulas(g) if is_consistent(f, sample)), None
     )
@@ -214,6 +221,84 @@ def test_synthesize_equals_first_consistent_scan(g, points, rnd):
     assert got == want
     if got is not None:
         assert is_consistent(got, sample)
+
+
+@functools.lru_cache(maxsize=None)
+def _stream(g):
+    return list(enumerate_formulas(g))
+
+
+@ENUMERATED
+@given(sample_points, st.randoms(use_true_random=False), st.data())
+@settings(max_examples=60, deadline=None)
+def test_synthesize_after_equals_first_consistent_successor(g, points, rnd, data):
+    sample = _random_sample(points, rnd)
+    stream = _stream(g)
+    hits = [j for j, f in enumerate(stream) if is_consistent(f, sample)]
+    # besides any formula, resume at a consistent one and just before one
+    choices = [st.integers(0, len(stream) - 1)]
+    if hits:
+        before = [max(j - 1, 0) for j in hits]
+        choices += [st.sampled_from(hits), st.sampled_from(before)]
+    i = data.draw(st.one_of(choices))
+    want = next((f for f in stream[i + 1 :] if is_consistent(f, sample)), None)
+    assert synthesize(sample, g, after=stream[i]) == want
+    # an equal formula that does not share the grammar's literal objects
+    assert synthesize(sample, g, after=copy.deepcopy(stream[i])) == want
+
+
+@ENUMERATED
+@given(sample_points, sample_points, st.randoms(use_true_random=False))
+@settings(max_examples=60, deadline=None)
+def test_resumed_scan_after_refuted_conjecture_equals_full_scan(g, first, more, rnd):
+    """The occam loop's step: S1 grows to S2 by counterexamples to synthesize(S1)."""
+    sample = _random_sample(first, rnd)
+    prev = synthesize(sample, g)
+    assume(prev is not None)
+    for x in more:
+        label = rnd.choice((int(not evaluate(prev, x)), rnd.choice((0, 1))))
+        try:
+            sample.add(x, label)
+        except InconsistentSampleError:
+            pass
+    assume(not is_consistent(prev, sample))
+    assert synthesize(sample, g, after=prev) == synthesize(sample, g)
+
+
+def test_synthesize_after_a_constant_starts_at_the_first_clause():
+    only_pos = Sample([((0.0, 0.0), 1), ((1.0, 0.0), 1)])
+    assert synthesize(only_pos, BOOL2, after=FALSE) is TRUE
+    assert synthesize(only_pos, BOOL2, after=TRUE) == Not(BoolAtom(1))
+    noconst = Grammar(BOOL2.features, 2, 2, include_constants=False)
+    for after in (FALSE, TRUE):
+        assert synthesize(only_pos, noconst, after=after) == Not(BoolAtom(1))
+
+
+X0, X1 = BoolAtom(0), BoolAtom(1)
+
+
+@pytest.mark.parametrize(
+    "after",
+    [
+        BoolAtom(2),
+        Or((X0, X1, Not(X0))),
+        And((X0, X1, Not(X1))),
+        And((Or((X0, X1)), Not(X0))),
+        And((X0, X0)),
+        Or((X1, X1)),
+    ],
+    ids=[
+        "unknown-literal",
+        "too-many-clauses",
+        "long-clause",
+        "non-dnf",
+        "repeated-literal",
+        "repeated-clause",
+    ],
+)
+def test_synthesize_after_outside_the_class_raises(after):
+    with pytest.raises(GrammarError):
+        synthesize(Sample([((0.0, 1.0), 1)]), BOOL2, after=after)
 
 
 def test_synthesize_empty_sample_returns_least_candidate():
