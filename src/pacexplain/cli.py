@@ -101,6 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_replay = sub.add_parser("replay", help="re-execute a recorded report")
     p_replay.add_argument("report", help="report JSON produced by explain")
+    p_replay.add_argument("-v", "--verbose", action="store_true")
 
     p_export = sub.add_parser("export-sygus", help="emit a SyGuS-IF v2 instance")
     p_export.add_argument("--grammar", required=True)
@@ -192,6 +193,22 @@ def _outcome_exit(outcome: str) -> int:
     return _OUTCOME_EXIT.get(outcome, EXIT_BUDGET)
 
 
+def _log_run(result):
+    stats = result.stats
+    log.debug(
+        "seed %d: %s after %d iterations, %d test inputs, %d counterexamples;"
+        " learner %.3fs, verifier %.3fs, wall %.3fs",
+        result.config.seed,
+        result.outcome,
+        stats.iterations,
+        stats.total_test_inputs,
+        stats.counterexample_count,
+        stats.learner_seconds,
+        stats.verifier_seconds,
+        stats.wall_seconds,
+    )
+
+
 def _print_summary(report: dict, data, cfg):
     stats = report["stats"]
     lines = [
@@ -216,6 +233,7 @@ def _print_summary(report: dict, data, cfg):
 def _cmd_explain(args) -> int:
     cfg, data = _build_config(args)
     result = explain(cfg)
+    _log_run(result)
     report = run_report(result)
     if args.out:
         write_report(report, args.out)
@@ -237,6 +255,7 @@ def _cmd_bench(args) -> int:
     for k in range(args.runs):
         run_cfg = dataclasses.replace(cfg, seed=args.seed + k)
         result = explain(run_cfg)
+        _log_run(result)
         report = run_report(result)
         outcomes[result.outcome] = outcomes.get(result.outcome, 0) + 1
         dataset_accuracy = None
@@ -300,6 +319,7 @@ def _cmd_bench(args) -> int:
 
 def _cmd_replay(args) -> int:
     result = replay(args.report)
+    _log_run(result)
     print(f"replayed: outcome {result.outcome} reproduced bit-for-bit")
     return _outcome_exit(result.outcome)
 
@@ -336,10 +356,10 @@ def main(argv=None) -> int:
         # --help/--version exit 0; everything else is a usage error. argparse
         # exits 2 on those, but 2 already means no-explanation, so map it to 1.
         return 0 if exc.code == 0 else EXIT_USAGE
-    logging.basicConfig(
-        level=logging.DEBUG if getattr(args, "verbose", False) else logging.WARNING,
-        format="%(levelname)s %(name)s: %(message)s",
-    )
+    level = logging.DEBUG if getattr(args, "verbose", False) else logging.WARNING
+    logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
+    # basicConfig leaves a root logger that already has handlers alone
+    log.setLevel(level)
     handlers = {
         "explain": _cmd_explain,
         "bench": _cmd_bench,

@@ -80,6 +80,26 @@ class UniformBox(Distribution):
         return {"uniformBox": {"lo": list(self.lo), "hi": list(self.hi)}}
 
 
+def _categorical(k: int, weights: dict) -> tuple:
+    """("categorical", values, probs) with each weight kept beside its value
+    and the values sorted ascending as floats."""
+    if not weights:
+        raise DistributionError(f"feature {k}: empty categorical")
+    total = float(sum(weights.values()))
+    if total <= 0 or any(w < 0 for w in weights.values()):
+        raise DistributionError(f"feature {k}: bad categorical weights")
+    try:
+        # float() returns a float key itself, so value objects stay shared
+        pairs = sorted(((float(v), w) for v, w in weights.items()), key=lambda p: p[0])
+    except (TypeError, ValueError):
+        raise DistributionError(f"feature {k}: categorical values must be numbers")
+    values = [v for v, _ in pairs]
+    for a, b in zip(values, values[1:]):
+        if a == b:
+            raise DistributionError(f"feature {k}: two categorical keys name the value {a!r}")
+    return ("categorical", values, [float(w) / total for _, w in pairs])
+
+
 class ProductPerFeature(Distribution):
     """Independent per-feature draws.
 
@@ -98,25 +118,43 @@ class ProductPerFeature(Distribution):
                     raise DistributionError(f"feature {k}: interval needs lo <= hi")
                 self.specs.append(("interval", float(lo), float(hi)))
             elif kind == "categorical":
-                weights = spec[1]
-                if not weights:
-                    raise DistributionError(f"feature {k}: empty categorical")
-                total = float(sum(weights.values()))
-                if total <= 0 or any(w < 0 for w in weights.values()):
-                    raise DistributionError(f"feature {k}: bad categorical weights")
-                values = sorted(float(v) for v in weights)
-                probs = [float(weights[v]) / total for v in sorted(weights)]
-                self.specs.append(("categorical", values, probs))
+                self.specs.append(_categorical(k, spec[1]))
             else:
                 raise DistributionError(f"feature {k}: unknown spec kind {kind!r}")
         self.arity = len(self.specs)
-        # per categorical column: the running sums `sample` compares against,
-        # the values, and each value's own float object for `point`
+        # Columns with identical specs are drawn together: the intervals by
+        # one `lo + u * span`, each distinct categorical spec by one pass of
+        # compares against its running sums.
+        intervals = [j for j, spec in enumerate(self.specs) if spec[0] == "interval"]
+        self._intervals = (
+            self._columns(intervals),
+            np.array([self.specs[j][1] for j in intervals]),
+            np.array([self.specs[j][2] - self.specs[j][1] for j in intervals]),
+        )
+        groups = {}
+        for j, spec in enumerate(self.specs):
+            if spec[0] == "categorical":
+                values = np.array(spec[1])
+                # a u at or past the first L-1 running sums takes the next
+                # value; the last sum is never compared, so a u past a sum
+                # that falls short of 1 takes the last value, as in `sample`
+                cuts = np.array(list(accumulate(spec[2]))[:-1])
+                key = (values.tobytes(), cuts.tobytes())
+                groups.setdefault(key, (values, cuts, []))[2].append(j)
         self._categorical = [
-            (j, np.array(list(accumulate(spec[2]))), np.array(spec[1]), {v: v for v in spec[1]})
+            (self._columns(cols), cuts, values) for values, cuts, cols in groups.values()
+        ]
+        # each categorical column's own value objects, for `point`
+        self._own = [
+            (j, {v: v for v in spec[1]})
             for j, spec in enumerate(self.specs)
             if spec[0] == "categorical"
         ]
+
+    def _columns(self, cols: list):
+        """Index of a column group: a slice, a view of the block, when the
+        group is every column."""
+        return slice(None) if len(cols) == self.arity else np.array(cols, dtype=np.intp)
 
     def sample(self, rng: np.random.Generator) -> tuple:
         out = []
@@ -139,21 +177,24 @@ class ProductPerFeature(Distribution):
 
     def sample_block(self, rng: np.random.Generator, n: int) -> np.ndarray:
         X = rng.random((n, self.arity))
-        for j, spec in enumerate(self.specs):
-            if spec[0] == "interval":
-                _, lo, hi = spec
-                X[:, j] = lo + X[:, j] * (hi - lo)
-        for j, cum, values, _ in self._categorical:
-            # first value whose running sum exceeds u; a u past a sum that
-            # falls short of 1 takes the last value, as in `sample`
-            k = np.searchsorted(cum, X[:, j], side="right")
-            X[:, j] = values[np.minimum(k, len(values) - 1)]
+        cols, lo, span = self._intervals
+        if len(lo):
+            X[:, cols] = lo + X[:, cols] * span
+        for cols, cuts, values in self._categorical:
+            U = X[:, cols]  # a view of X when the group is every column, else a copy
+            index = np.zeros(U.shape, dtype=np.intp)
+            for cut in cuts:
+                index += U >= cut
+            # every index is in range; mode "raise" would copy `out` via a buffer
+            np.take(values, index, out=U, mode="wrap")
+            if U.base is not X:
+                X[:, cols] = U
         return X
 
     def point(self, row: np.ndarray) -> tuple:
         # share the categorical value objects, as `sample` does
         x = row.tolist()
-        for j, _, _, own in self._categorical:
+        for j, own in self._own:
             x[j] = own[x[j]]
         return tuple(x)
 
@@ -246,9 +287,8 @@ def distribution_from_json(obj: dict, load_dataset_fn=None) -> Distribution:
                 lo, hi = entry["interval"]
                 specs.append(("interval", lo, hi))
             elif "categorical" in entry:
-                specs.append(
-                    ("categorical", {float(k): v for k, v in entry["categorical"].items()})
-                )
+                # keys stay text here, so two that name one value raise
+                specs.append(("categorical", entry["categorical"]))
             else:
                 raise DistributionError(f"unknown product entry {entry!r}")
         return ProductPerFeature(specs)

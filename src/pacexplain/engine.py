@@ -23,6 +23,7 @@ import json
 import time
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -50,6 +51,10 @@ OUTCOME_BUDGET_ITERATIONS = "budget-iteration-cap"
 _MIN_QUERY_COVERAGE = 0.01
 
 STRATEGIES = ("occam", "general")
+
+# Distributions are never changed after construction, so runs over the same
+# feature kinds share one default distribution instead of building it anew.
+_shared_default_distribution = lru_cache(maxsize=64)(default_distribution)
 
 
 class EngineError(RuntimeError):
@@ -157,7 +162,9 @@ def explain(cfg: RunConfig) -> RunResult:
     dist = cfg.distribution
     if dist is None:
         kinds = {f.index: f.kind for f in cfg.grammar.features}
-        dist = default_distribution([kinds.get(j, "real") for j in range(cfg.model.arity)])
+        dist = _shared_default_distribution(
+            tuple(kinds.get(j, "real") for j in range(cfg.model.arity))
+        )
 
     # child 0 is reserved and unused; spawning three keeps recorded reports' seeds
     _, loop_seq, post_seq = np.random.SeedSequence(cfg.seed).spawn(3)

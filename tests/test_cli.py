@@ -71,6 +71,31 @@ def test_replay_of_empirical_run_from_another_directory(
     assert "reproduced bit-for-bit" in capsys.readouterr().out
 
 
+def test_verbose_logs_one_line_per_run(data_dir, tmp_path, caplog, capsys):
+    def lines():
+        got = [r.getMessage() for r in caplog.records if r.name == "pacexplain"]
+        caplog.clear()
+        return got
+
+    path = tmp_path / "report.json"
+    assert main(zoo_args(data_dir, "--out", str(path))) == 0
+    assert lines() == []
+    assert main(zoo_args(data_dir, "--out", str(path), "-v")) == 0
+    (line,) = lines()
+    assert line.startswith("seed 7: explanation after ")
+    for part in ("iterations", "test inputs", "counterexamples", "learner", "verifier", "wall"):
+        assert part in line
+    assert main(["replay", str(path), "-v"]) == 0
+    assert lines()[0].startswith("seed 7: explanation after ")
+    assert main(["replay", str(path)]) == 0
+    assert lines() == []
+    argv = zoo_args(data_dir, "--runs", "2", "-v")
+    argv[0] = "bench"
+    assert main(argv) == 0
+    assert [line.split(":")[0] for line in lines()] == ["seed 7", "seed 8"]
+    capsys.readouterr()
+
+
 def test_exit_two_when_grammar_has_no_explanation(data_dir, tmp_path, capsys):
     # the tree ignores hair, so a hair-only grammar exhausts its class
     grammar = tmp_path / "hair.json"

@@ -80,6 +80,22 @@ def test_categorical_values_sorted_independent_of_dict_order():
     assert [a.sample(r1) for _ in range(100)] == [b.sample(r2) for _ in range(100)]
 
 
+def test_categorical_weights_stay_with_their_values():
+    # "10" sorts before "9" as text but after it as a number
+    dist = ProductPerFeature([("categorical", {"10": 1, "9": 3})])
+    assert dist.specs[0] == ("categorical", [9.0, 10.0], [0.75, 0.25])
+    back = distribution_from_json({"product": [{"categorical": {"10": 1, "9": 3}}]})
+    assert back.specs == dist.specs
+
+
+@pytest.mark.parametrize("weights", [{"1": 1, "1.0": 3}, {"0.5": 1, "5e-1": 1}, {"x": 1}])
+def test_categorical_keys_must_name_distinct_numbers(weights):
+    with pytest.raises(DistributionError):
+        ProductPerFeature([("categorical", weights)])
+    with pytest.raises(DistributionError):
+        distribution_from_json({"product": [{"categorical": weights}]})
+
+
 def test_product_validation():
     with pytest.raises(DistributionError):
         ProductPerFeature([("interval", 2, 1)])
@@ -173,9 +189,23 @@ PRODUCT = ProductPerFeature(
         ("interval", 0.5, 0.5),
     ]
 )
+# one categorical spec on columns 0, 3 and 5 (the last in another dict
+# order), between an interval, a second spec with a zero weight and a
+# single value: the block draws each spec's columns together
+GROUPED = ProductPerFeature(
+    [
+        ("categorical", {0: 1, 3: 2, 5: 1}),
+        ("interval", -1, 2),
+        ("categorical", {1: 1, 2: 0, 4: 3}),
+        ("categorical", {0: 1, 3: 2, 5: 1}),
+        ("categorical", {7: 2}),
+        ("categorical", {5: 1, 0: 1, 3: 2}),
+    ]
+)
 STREAMS = {
     "box": UniformBox([0.0, -1.0, 2.0], [1.0, 1.0, 2.0]),
     "product": PRODUCT,
+    "grouped": GROUPED,
     "boolean": default_distribution(["bool"] * 16),
     "empirical": Empirical(load_dataset(IRIS), sigma=0.05),
     "empirical-quiet": Empirical(load_dataset(IRIS), sigma=0.0),
@@ -256,17 +286,14 @@ def _edges(dist):
     return sorted(e for e in edges if 0.0 <= e < 1.0)
 
 
-@given(
-    st.lists(
-        st.one_of(st.floats(0, 1, exclude_max=True), st.sampled_from(_edges(PRODUCT))),
-        min_size=PRODUCT.arity * 12,
-        max_size=PRODUCT.arity * 12,
-    )
-)
-def test_inverse_cdf_block_matches_scalar_at_every_edge(us):
-    n = len(us) // PRODUCT.arity
-    block = [PRODUCT.point(row) for row in PRODUCT.sample_block(Doubles(us), n)]
-    assert block == scalar_draws(PRODUCT, Doubles(us), n)
+@settings(deadline=None)
+@given(data=st.data())
+def test_inverse_cdf_block_matches_scalar_at_every_edge(data):
+    for dist in (PRODUCT, GROUPED):
+        u = st.one_of(st.floats(0, 1, exclude_max=True), st.sampled_from(_edges(dist)))
+        us = data.draw(st.lists(u, min_size=dist.arity * 12, max_size=dist.arity * 12))
+        block = [dist.point(row) for row in dist.sample_block(Doubles(us), 12)]
+        assert block == scalar_draws(dist, Doubles(us), 12)
 
 
 def test_points_share_the_categorical_value_objects():

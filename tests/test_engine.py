@@ -24,6 +24,7 @@ from pacexplain import (
     UniformBox,
     check_run_invariants,
     config_from_report,
+    default_distribution,
     default_grammar,
     explain,
     parse,
@@ -33,6 +34,7 @@ from pacexplain import (
     stable_report,
     write_report,
 )
+from pacexplain import engine
 from pacexplain.engine import VOLATILE_STAT_KEYS
 
 from golden import bool3_tree
@@ -316,6 +318,34 @@ def test_derived_distribution_mirrors_grammar_kinds(
         assert points and all(len(x) == 4 for x in points)
         assert all(0.0 <= v <= 1.0 for x in points for v in x)
         assert all(v not in (0.0, 1.0) for x in points for v in x)
+
+
+def test_runs_share_one_default_distribution(zoo_tree, zoo_grammar, monkeypatch):
+    used = []
+
+    def spy(*args, **kwargs):
+        used.append(args[4])
+        return verify(*args, **kwargs)
+
+    verify = engine.verify
+    monkeypatch.setattr(engine, "verify", spy)
+    explain(zoo_config(zoo_tree, zoo_grammar, seed=7))
+    explain(zoo_config(zoo_tree, zoo_grammar, "x3", seed=8))
+    assert len(used) > 2 and all(dist is used[0] for dist in used)
+
+
+@pytest.mark.parametrize("query_text", ["true", "x3"])
+def test_default_distribution_run_equals_explicit_one(zoo_tree, zoo_grammar, query_text):
+    kinds = {f.index: f.kind for f in zoo_grammar.features}
+    dist = default_distribution([kinds.get(j, "real") for j in range(zoo_tree.arity)])
+    implicit = explain(zoo_config(zoo_tree, zoo_grammar, query_text, seed=3))
+    explicit = explain(zoo_config(zoo_tree, zoo_grammar, query_text, seed=3, distribution=dist))
+    for result in (implicit, explicit):
+        assert result.outcome == OUTCOME_EXPLANATION
+    assert explicit.explanation == implicit.explanation
+    assert explicit.trace == implicit.trace
+    assert explicit.sample_entries == implicit.sample_entries
+    assert explicit.stats.accuracy == implicit.stats.accuracy
 
 
 def _zoo_conjunction(n):
