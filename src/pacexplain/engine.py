@@ -33,8 +33,12 @@ from .distribution import Distribution, default_distribution, distribution_from_
 from .formula import Formula, compare, evaluate, render, size
 from .model import Model, model_from_json
 from .query import Query, query_from_json
-from .synthesizer import (
+# `synthesize` and `synthesize_general` stay importable here: bench/tracing.py
+# wraps them in this module
+from .synthesizer import (  # noqa: F401
+    GeneralLearner,
     Grammar,
+    OccamLearner,
     Sample,
     SynthesisDeadlineError,
     synthesize,
@@ -50,7 +54,8 @@ OUTCOME_BUDGET_ITERATIONS = "budget-iteration-cap"
 # a run warns when a smaller share of its draws lands in the query region
 _MIN_QUERY_COVERAGE = 0.01
 
-STRATEGIES = ("occam", "general")
+# each run keeps one learner, fed the counterexamples of every round
+LEARNERS = {"occam": OccamLearner, "general": GeneralLearner}
 
 # Distributions are never changed after construction, so runs over the same
 # feature kinds share one default distribution instead of building it anew.
@@ -137,8 +142,13 @@ def _validate_config(cfg: RunConfig):
         raise ValueError("max_iterations must be >= 1")
     if cfg.counterexample_batch < 1:
         raise ValueError("counterexample_batch must be >= 1")
-    if cfg.strategy not in STRATEGIES:
-        raise ValueError(f"strategy must be one of {STRATEGIES}")
+    if cfg.strategy not in LEARNERS:
+        raise ValueError(f"strategy must be one of {tuple(LEARNERS)}")
+    if cfg.strategy == "general" and not cfg.grammar.include_constants:
+        raise ValueError(
+            "the general strategy needs a grammar with constants: it starts"
+            " from the cover of the empty sample, false"
+        )
     arity = cfg.model.arity
     if cfg.query.arity not in (0, arity):
         raise ValueError(
@@ -172,6 +182,7 @@ def explain(cfg: RunConfig) -> RunResult:
     in_region = 0
 
     sample = Sample()
+    learner = LEARNERS[cfg.strategy](cfg.grammar)
     trace = []
     stats = RunStats()
     start = time.perf_counter()
@@ -187,15 +198,7 @@ def explain(cfg: RunConfig) -> RunResult:
             break
         t0 = time.perf_counter()
         try:
-            if cfg.strategy == "occam":
-                # every candidate before the refuted conjecture was ruled out
-                # by a subset of this sample, and the conjecture itself
-                # misclassifies its counterexamples: resume right after it
-                candidate = synthesize(
-                    sample, cfg.grammar, deadline=hard_deadline, after=conjecture
-                )
-            else:
-                candidate = synthesize_general(sample, cfg.grammar)
+            candidate = learner.next(hard_deadline)
         except SynthesisDeadlineError:
             stats.learner_seconds += time.perf_counter() - t0
             outcome = OUTCOME_BUDGET_TIMEOUT
@@ -265,6 +268,7 @@ def explain(cfg: RunConfig) -> RunResult:
                 raise EngineInvariantError(
                     f"counterexample {x} was already in the sample"
                 )
+            learner.add(x, label)
 
     stats.iterations = iteration
     stats.counterexample_count = len(sample)

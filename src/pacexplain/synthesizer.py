@@ -20,12 +20,13 @@ soundly: any clause of a consistent DNF must reject every negative example,
 so clauses satisfied by some negative are dropped before combination;
 single-clause candidates must additionally cover every positive.
 
-`synthesize(..., after=f)` starts the scan strictly after the formula f.
-The occam loop resumes each round right after the conjecture the verifier
-just refuted, and gets the same answer as a scan from the start: the
-sample only grows, so every candidate before the conjecture is still
-inconsistent with it, and the conjecture itself misclassifies its new
-counterexamples.
+An engine run keeps one learner per strategy and feeds it each round's
+counterexamples. `OccamLearner` pauses its scan between rounds and
+resumes right after the conjecture the verifier just refuted, which gives
+the same answer as a scan from the start: the sample only grows, so every
+candidate before the conjecture is still inconsistent with it, and the
+conjecture itself misclassifies its new counterexamples. `synthesize` and
+`synthesize_general` are one-shot calls on a fresh learner.
 
 `synthesize_general` is a deliberately non-minimizing alternative used to
 approximate unconstrained synthesis: it covers each positive example with
@@ -47,14 +48,11 @@ from .formula import (
     And,
     Atom,
     BoolAtom,
-    ConstFalse,
-    ConstTrue,
     Formula,
     Not,
     Or,
     evaluate,
     order_key,
-    render,
     size,
 )
 
@@ -101,6 +99,8 @@ class GrammarFeature:
             raise GrammarError("real feature needs at least one constant")
         if len(set(constants)) != len(constants):
             raise GrammarError("duplicate constants")
+        if len(set(ops)) != len(ops):
+            raise GrammarError("duplicate ops")
         object.__setattr__(self, "constants", tuple(sorted(constants)))
         object.__setattr__(self, "ops", ops)
 
@@ -251,12 +251,6 @@ class Sample:
     def entries(self) -> list:
         return list(self._entries)
 
-    def positives(self) -> list:
-        return [x for x, label in self._entries if label == 1]
-
-    def negatives(self) -> list:
-        return [x for x, label in self._entries if label == 0]
-
     def __len__(self) -> int:
         return len(self._entries)
 
@@ -270,18 +264,23 @@ def is_consistent(f: Formula, sample: Sample) -> bool:
 
 # --- ordered candidate stream ------------------------------------------------
 #
-# A clause record is (literal_indices, covered_positives_mask), and a
-# candidate is a tuple of clause records. `group(k)` lists the records of
-# the k-literal clauses in itertools.combinations order over the sorted
+# A clause record is a mutable [literal_indices, positives_mask] list, and a
+# candidate is a tuple of clause records. `group(k)` lists the records of the
+# k-literal clauses in itertools.combinations order over the sorted
 # literals, which is their candidate order. A level (s, m) holds the
 # candidates of total size s with m clauses. Every clause key starts with
 # the clause's size, so walking clause sizes upward, and each size group
 # from the record after the previous one, yields a level in candidate order.
+# The constants come first: false is the empty disjunction and true the
+# empty clause, record [(), mask] of group(0).
 
 
-def _make_group_fn(lits, masks_p, masks_n):
-    """group(k): the k-literal clauses that reject every negative example."""
-    cache = {}
+def _make_group_fn(lits, masks_p, masks_n, cache):
+    """group(k): the k-literal clauses that reject every negative example.
+
+    Each group is built once, into `cache`, from the per-literal masks of
+    the points seen so far; the learner updates its records after that.
+    """
 
     def group(k: int) -> list:
         if k in cache:
@@ -298,180 +297,146 @@ def _make_group_fn(lits, masks_p, masks_n):
             mp = masks_p[combo[0]]
             for i in combo[1:]:
                 mp &= masks_p[i]
-            records.append((combo, mp))
+            records.append([combo, mp])
         cache[k] = records
         return records
 
     return group
 
 
-def _level(group, s: int, m: int, max_lits: int, k_lo: int = 1, i_lo: int = 0,
-           floor: tuple = ()):
+def _level(group, s: int, m: int, max_lits: int, k_lo: int = 1, i_lo: int = 0):
     """Clause tuples of total size s with m clauses, in candidate order.
 
     The first clause is at least record i_lo of group(k_lo), or any record
-    of a larger group; the other m - 1 clauses follow it. A floor, the
-    literal-index combos of a candidate of this level, restricts the
-    output to the candidates strictly after it.
+    of a larger group; the other m - 1 clauses follow it. Records that hold
+    a negative example (mask -1) are skipped; a tuple already under way
+    when one dies fails the cover test.
     """
-    fk = len(floor[0]) if floor else 0
     for k in range(k_lo, max_lits + 1):
         rest = s - k
-        if k < fk or rest < k * (m - 1) or rest > max_lits * (m - 1):
+        if rest < k * (m - 1) or rest > max_lits * (m - 1):
             continue
         records = group(k)
-        i = i_lo if k == k_lo else 0
-        if k == fk:
-            # the floor's clause may have left the group since its sample, so
-            # resume at the first record not before it; (combo,) sorts just
-            # before the record (combo, mask)
-            i = max(i, bisect.bisect_left(records, (floor[0],)))
-            if i < len(records) and records[i][0] == floor[0]:
-                if m > 1:
-                    tails = _level(group, rest, m - 1, max_lits, k, i + 1, floor[1:])
-                    for tail in tails:
-                        yield (records[i],) + tail
-                i += 1
-        for j in range(i, len(records)):
+        for j in range(i_lo if k == k_lo else 0, len(records)):
+            rec = records[j]
+            if rec[1] < 0:
+                continue
             if m == 1:
-                yield (records[j],)
+                yield (rec,)
             else:
                 for tail in _level(group, rest, m - 1, max_lits, k, j + 1):
-                    yield (records[j],) + tail
+                    yield (rec,) + tail
 
 
-def _candidate_stream(g: Grammar, group, floor: tuple = ()) -> Iterator[tuple]:
-    """Every clause tuple of the grammar, level by level, in candidate order.
-
-    With a floor (see `_level`), the stream starts strictly after it.
-    """
+def _candidate_stream(g: Grammar, group) -> Iterator[tuple]:
+    """Every clause tuple of the grammar, level by level, in candidate order."""
+    if g.include_constants:
+        yield ()  # false
+        yield (group(0)[0],)  # true
     max_lits = g.max_literals_per_clause
-    s0, m0 = sum(map(len, floor)), len(floor)
-    for s in range(max(1, s0), g.max_clauses * max_lits + 1):
-        m_lo = m0 if s == s0 else max(1, -(-s // max_lits))
-        for m in range(m_lo, min(g.max_clauses, s) + 1):
-            start = floor if (s, m) == (s0, m0) else ()
-            yield from _level(group, s, m, max_lits, floor=start)
-
-
-def _clause_floor(g: Grammar, lits, f: Formula) -> tuple:
-    """The literal-index combos of f's clauses, as `_level` takes a floor.
-
-    Constants map to () (the first clause candidate). Raises GrammarError
-    when f is not in the grammar's DNF class. `Or` and `And` keep their
-    children in candidate order, so the combos come out sorted.
-    """
-    if isinstance(f, (ConstTrue, ConstFalse)):
-        return ()
-    # explanations share the grammar's literal objects, so look up by identity
-    index = {id(lit): i for i, lit in enumerate(lits)}
-    clauses = f.children if isinstance(f, Or) else (f,)
-    if len(clauses) > g.max_clauses:
-        raise GrammarError(f"{render(f)} has more than {g.max_clauses} clauses")
-    combos = []
-    for clause in clauses:
-        parts = clause.children if isinstance(clause, And) else (clause,)
-        if len(parts) > g.max_literals_per_clause:
-            raise GrammarError(
-                f"{render(f)} has a clause longer than {g.max_literals_per_clause}"
-            )
-        combo = []
-        for lit in parts:
-            i = index.get(id(lit))
-            if i is None:
-                if lit not in lits:
-                    raise GrammarError(
-                        f"{render(lit)} in {render(f)} is not a grammar literal"
-                    )
-                i = lits.index(lit)
-            combo.append(i)
-        combos.append(tuple(combo))
-    if len(set(combos)) < len(combos) or any(len(set(c)) < len(c) for c in combos):
-        raise GrammarError(f"{render(f)} repeats a clause or a literal")
-    return tuple(combos)
+    for s in range(1, g.max_clauses * max_lits + 1):
+        for m in range(max(1, -(-s // max_lits)), min(g.max_clauses, s) + 1):
+            yield from _level(group, s, m, max_lits)
 
 
 def _build_formula(lits, clause_tuple: tuple) -> Formula:
     clauses = []
     for combo, _ in clause_tuple:
-        if len(combo) == 1:
+        if not combo:
+            clauses.append(TRUE)
+        elif len(combo) == 1:
             clauses.append(lits[combo[0]])
         else:
             clauses.append(And(tuple(lits[i] for i in combo)))
     if len(clauses) == 1:
         return clauses[0]
-    return Or(tuple(clauses))
-
-
-def enumerate_formulas(g: Grammar) -> Iterator[Formula]:
-    """Every formula of the grammar class, canonical, strictly in order."""
-    if g.include_constants:
-        yield FALSE
-        yield TRUE
-    lits = g.literals()
-    zeros = [0] * len(lits)
-    for clause_tuple in _candidate_stream(g, _make_group_fn(lits, zeros, zeros)):
-        yield _build_formula(lits, clause_tuple)
-
-
-def _literal_masks(lits, points) -> list:
-    masks = []
-    for lit in lits:
-        m = 0
-        for bit, x in enumerate(points):
-            if evaluate(lit, x):
-                m |= 1 << bit
-        masks.append(m)
-    return masks
+    return Or(tuple(clauses)) if clauses else FALSE
 
 
 _DEADLINE_STRIDE = 4096
 
 
+class OccamLearner:
+    """One scan of the candidates, paused between `next` calls.
+
+    `add` takes a new labeled point, and `next` returns the first candidate
+    after the last one it returned that is consistent with every point
+    added so far, or None when the rest of the class has none. A new
+    positive sets its bit in the clause records that hold it; a new
+    negative sets their mask to -1, so no candidate with one covers.
+    """
+
+    def __init__(self, g: Grammar):
+        self._lits = g.literals()
+        self._masks_p = [0] * len(self._lits)
+        self._masks_n = [0] * len(self._lits)
+        self._counts = [0, 0]  # negatives, positives
+        # the empty clause, true, holds every point. The paused stream closes
+        # over these containers, not over the learner: a cycle through a
+        # suspended generator would wait for the cyclic collector.
+        self._groups = {0: [[(), 0]]}
+        group = _make_group_fn(self._lits, self._masks_p, self._masks_n, self._groups)
+        self._stream = _candidate_stream(g, group)
+
+    def add(self, x: Sequence[float], label: int):
+        bit = 1 << self._counts[label]
+        self._counts[label] += 1
+        masks = self._masks_p if label else self._masks_n
+        missed = set()
+        for i, lit in enumerate(self._lits):
+            if evaluate(lit, x):
+                masks[i] |= bit
+            else:
+                missed.add(i)
+        for records in self._groups.values():
+            for rec in records:
+                if rec[1] >= 0 and missed.isdisjoint(rec[0]):
+                    rec[1] = rec[1] | bit if label else -1
+
+    def next(self, deadline: Optional[float] = None) -> Optional[Formula]:
+        """Raises SynthesisDeadlineError when the scan passes the deadline."""
+        full_p = (1 << self._counts[1]) - 1
+        checked = 0
+        for clause_tuple in self._stream:
+            covered = 0
+            for rec in clause_tuple:
+                covered |= rec[1]
+            if covered == full_p:
+                return _build_formula(self._lits, clause_tuple)
+            checked += 1
+            if deadline is not None and checked % _DEADLINE_STRIDE == 0:
+                if time.perf_counter() > deadline:
+                    raise SynthesisDeadlineError(
+                        f"candidate scan passed its deadline after {checked} candidates"
+                    )
+        return None
+
+
+def enumerate_formulas(g: Grammar) -> Iterator[Formula]:
+    """Every formula of the grammar class, canonical, strictly in order.
+
+    Every candidate is consistent with the empty sample.
+    """
+    return iter(OccamLearner(g).next, None)
+
+
+def _fed(learner, sample: Sample):
+    for x, label in sample:
+        learner.add(x, label)
+    return learner
+
+
 def synthesize(
-    sample: Sample,
-    g: Grammar,
-    deadline: Optional[float] = None,
-    after: Optional[Formula] = None,
+    sample: Sample, g: Grammar, deadline: Optional[float] = None
 ) -> Optional[Formula]:
     """First sample-consistent formula in candidate order, else None.
 
-    With `after`, a formula of the grammar class, the scan starts strictly
-    after it: the answer is the first consistent formula that follows it.
-    A formula outside the class raises GrammarError.
-
-    None means the (rest of the finite) class is inconsistent with the sample.
+    None means the finite class is inconsistent with the sample.
     A contradictory sample cannot be constructed (Sample.add rejects it), so
     that failure mode is reported by InconsistentSampleError at insertion,
     never conflated with exhaustion here.
     """
-    lits = g.literals()
-    floor = () if after is None else _clause_floor(g, lits, after)
-    positives = sample.positives()
-    negatives = sample.negatives()
-    if g.include_constants:
-        if not positives and after is None:
-            return FALSE
-        if not negatives and (after is None or after == FALSE):
-            return TRUE
-    masks_p = _literal_masks(lits, positives)
-    masks_n = _literal_masks(lits, negatives)
-    full_p = (1 << len(positives)) - 1
-    group = _make_group_fn(lits, masks_p, masks_n)
-    checked = 0
-    for clause_tuple in _candidate_stream(g, group, floor):
-        checked += 1
-        if deadline is not None and checked % _DEADLINE_STRIDE == 0:
-            if time.perf_counter() > deadline:
-                raise SynthesisDeadlineError(
-                    f"candidate scan passed its deadline after {checked} candidates"
-                )
-        covered = 0
-        for rec in clause_tuple:
-            covered |= rec[1]
-        if covered == full_p:
-            return _build_formula(lits, clause_tuple)
-    return None
+    return _fed(OccamLearner(g), sample).next(deadline)
 
 
 def _cell_signature(g: Grammar, x) -> tuple:
@@ -505,6 +470,49 @@ def _cell_clause(g: Grammar, sig: tuple) -> Formula:
     return And(tuple(lits))
 
 
+class GeneralLearner:
+    """The cover of `synthesize_general`, extended point by point.
+
+    Once the cover fails it stays failed, since the sample only grows.
+    """
+
+    def __init__(self, g: Grammar):
+        self._g = g
+        self._clauses = {}  # order_key -> clause
+        self._keys = []  # sorted, so that Or's own sort sees sorted input
+        self._negatives = []
+        self._failed = False
+
+    def add(self, x: Sequence[float], label: int):
+        if self._failed:
+            return
+        if not label:
+            self._negatives.append(x)
+            self._failed = any(evaluate(c, x) for c in self._clauses.values())
+            return
+        g = self._g
+        clause = _cell_clause(g, _cell_signature(g, x))
+        key = order_key(clause)
+        if key in self._clauses:
+            return
+        self._failed = (
+            size(clause) > g.max_literals_per_clause
+            or len(self._keys) == g.max_clauses
+            or any(evaluate(clause, n) for n in self._negatives)
+        )
+        self._clauses[key] = clause
+        bisect.insort(self._keys, key)
+
+    def next(self, deadline: Optional[float] = None) -> Optional[Formula]:
+        if self._failed:
+            return None
+        if not self._keys:
+            return FALSE if self._g.include_constants else None
+        if len(self._keys) == 1:
+            return self._clauses[self._keys[0]]
+        return Or(tuple(self._clauses[k] for k in self._keys))
+
+
 def synthesize_general(sample: Sample, g: Grammar) -> Optional[Formula]:
     """Fast non-minimizing consistent DNF: one clause per positive grid cell.
 
@@ -513,25 +521,7 @@ def synthesize_general(sample: Sample, g: Grammar) -> Optional[Formula]:
     sample is not separable over this grid) or the cell cover violates the
     grammar bounds.
     """
-    positives = sample.positives()
-    negatives = sample.negatives()
-    if not positives:
-        return FALSE if g.include_constants else None
-    clauses = {}
-    for x in positives:
-        clause = _cell_clause(g, _cell_signature(g, x))
-        if size(clause) > g.max_literals_per_clause:
-            return None
-        clauses[order_key(clause)] = clause
-    clause_list = [clauses[k] for k in sorted(clauses)]
-    if len(clause_list) > g.max_clauses:
-        return None
-    for clause in clause_list:
-        if any(evaluate(clause, x) for x in negatives):
-            return None
-    if len(clause_list) == 1:
-        return clause_list[0]
-    return Or(tuple(clause_list))
+    return _fed(GeneralLearner(g), sample).next()
 
 
 # --- SyGuS-IF export ----------------------------------------------------------

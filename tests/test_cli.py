@@ -116,6 +116,22 @@ def test_exit_two_when_grammar_has_no_explanation(data_dir, tmp_path, capsys):
     assert "no-explanation" in capsys.readouterr().out
 
 
+def test_general_strategy_without_constants_exits_one(data_dir, tmp_path, capsys):
+    grammar = json.loads((data_dir / "zoo_grammar.json").read_text())
+    grammar["constants"] = False
+    path = tmp_path / "noconst.json"
+    path.write_text(json.dumps(grammar))
+    code = main([
+        "explain",
+        "--model", str(data_dir / "zoo_tree.json"),
+        "--class", "fish",
+        "--grammar", str(path),
+        "--strategy", "general",
+    ])
+    assert code == 1
+    assert "needs a grammar with constants" in capsys.readouterr().err
+
+
 def test_exit_three_on_budget(data_dir, tmp_path, capsys):
     code = main(zoo_args(data_dir, "--seed", "0", "--max-iterations", "1",
                          "--out", str(tmp_path / "budget.json")))

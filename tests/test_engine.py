@@ -2,6 +2,8 @@
 replay, budgets, and the trace invariant checker."""
 
 import dataclasses
+import gc
+import inspect
 import json
 import warnings
 
@@ -34,7 +36,7 @@ from pacexplain import (
     stable_report,
     write_report,
 )
-from pacexplain import engine
+from pacexplain import engine, formula, model, query, synthesizer, verifier
 from pacexplain.engine import VOLATILE_STAT_KEYS
 
 from golden import bool3_tree
@@ -220,6 +222,55 @@ def test_general_strategy_cannot_prove_emptiness(zoo_tree):
     )
     with pytest.raises(EngineError, match="grammar bounds"):
         explain(cfg)
+
+
+def test_general_strategy_needs_grammar_constants(zoo_tree, zoo_grammar):
+    # the cover of the empty sample is false, which such a grammar excludes
+    grammar = dataclasses.replace(zoo_grammar, include_constants=False)
+    cfg = zoo_config(zoo_tree, grammar, seed=0, strategy="general")
+    with pytest.raises(ValueError, match="general strategy needs a grammar with constants"):
+        explain(cfg)
+
+
+def _synthesizer_leftovers():
+    learners = (synthesizer.OccamLearner, synthesizer.GeneralLearner)
+    return [
+        o
+        for o in gc.get_objects()
+        if isinstance(o, learners)
+        or (inspect.isgenerator(o) and o.gi_code.co_filename == synthesizer.__file__)
+    ]
+
+
+def test_explain_leaves_nothing_for_the_cyclic_collector():
+    # a learner or paused scan kept alive by a reference cycle would wait
+    # for the cyclic collector instead of being freed when the run ends
+    grammar = default_grammar(["bool"] * 3, max_clauses=4, max_literals_per_clause=3)
+    gc.collect()
+    gc.disable()
+    try:
+        results = [
+            explain(RunConfig(bool3_tree(), TrueQuery(3), "yes", grammar, seed=0,
+                              strategy=strategy))
+            for strategy in ("occam", "general")
+        ]
+        leftovers = _synthesizer_leftovers()
+    finally:
+        gc.enable()
+    assert [len(r.trace) > 1 for r in results] == [True, True]
+    assert leftovers == []
+
+
+# bench/tracing.py wraps these names in the modules that look them up; a
+# missing one makes its Tracer.install raise KeyError
+TRACED_ENGINE_NAMES = ("synthesize", "synthesize_general", "verify", "estimate_query_accuracy")
+
+
+def test_names_the_benchmark_tracer_wraps_exist():
+    for name in TRACED_ENGINE_NAMES:
+        assert name in vars(engine)
+    for module in (engine, verifier, query, synthesizer, model):
+        assert vars(module)["evaluate"] is formula.evaluate
 
 
 def test_low_coverage_query_warns(zoo_tree, zoo_grammar):

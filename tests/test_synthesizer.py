@@ -6,7 +6,6 @@ itertools.combinations, sort by the candidate order, and compare. It shares
 no code with the lazy level-by-level recursion it checks.
 """
 
-import copy
 import functools
 import itertools
 import json
@@ -42,6 +41,7 @@ from pacexplain import (
     synthesize,
     synthesize_general,
 )
+from pacexplain.synthesizer import GeneralLearner, OccamLearner
 
 
 def brute_force_class(g):
@@ -155,8 +155,6 @@ def test_sample_add_and_duplicates():
     with pytest.raises(ValueError):
         s.add((1.0, 1.0), 2)
     s.add((1.0, 1.0), 0)
-    assert s.positives() == [(0.0, 1.0)]
-    assert s.negatives() == [(1.0, 1.0)]
     assert s.entries == [((0.0, 1.0), 1), ((1.0, 1.0), 0)]
 
 
@@ -228,77 +226,94 @@ def _stream(g):
     return list(enumerate_formulas(g))
 
 
-@ENUMERATED
-@given(sample_points, st.randoms(use_true_random=False), st.data())
-@settings(max_examples=60, deadline=None)
-def test_synthesize_after_equals_first_consistent_successor(g, points, rnd, data):
-    sample = _random_sample(points, rnd)
-    stream = _stream(g)
-    hits = [j for j, f in enumerate(stream) if is_consistent(f, sample)]
-    # besides any formula, resume at a consistent one and just before one
-    choices = [st.integers(0, len(stream) - 1)]
-    if hits:
-        before = [max(j - 1, 0) for j in hits]
-        choices += [st.sampled_from(hits), st.sampled_from(before)]
-    i = data.draw(st.one_of(choices))
-    want = next((f for f in stream[i + 1 :] if is_consistent(f, sample)), None)
-    assert synthesize(sample, g, after=stream[i]) == want
-    # an equal formula that does not share the grammar's literal objects
-    assert synthesize(sample, g, after=copy.deepcopy(stream[i])) == want
+def _first_consistent(g, sample):
+    return next((f for f in _stream(g) if is_consistent(f, sample)), None)
 
 
 @ENUMERATED
 @given(sample_points, sample_points, st.randoms(use_true_random=False))
 @settings(max_examples=60, deadline=None)
 def test_resumed_scan_after_refuted_conjecture_equals_full_scan(g, first, more, rnd):
-    """The occam loop's step: S1 grows to S2 by counterexamples to synthesize(S1)."""
+    """The occam loop's step: S1 grows to S2 by counterexamples to the learner's answer."""
     sample = _random_sample(first, rnd)
-    prev = synthesize(sample, g)
+    learner = OccamLearner(g)
+    for x, label in sample:
+        learner.add(x, label)
+    prev = learner.next()
     assume(prev is not None)
     for x in more:
         label = rnd.choice((int(not evaluate(prev, x)), rnd.choice((0, 1))))
         try:
-            sample.add(x, label)
+            if sample.add(x, label):
+                learner.add(x, label)
         except InconsistentSampleError:
             pass
     assume(not is_consistent(prev, sample))
-    assert synthesize(sample, g, after=prev) == synthesize(sample, g)
+    assert learner.next() == synthesize(sample, g)
 
 
 def test_synthesize_after_a_constant_starts_at_the_first_clause():
-    only_pos = Sample([((0.0, 0.0), 1), ((1.0, 0.0), 1)])
-    assert synthesize(only_pos, BOOL2, after=FALSE) is TRUE
-    assert synthesize(only_pos, BOOL2, after=TRUE) == Not(BoolAtom(1))
-    noconst = Grammar(BOOL2.features, 2, 2, include_constants=False)
-    for after in (FALSE, TRUE):
-        assert synthesize(only_pos, noconst, after=after) == Not(BoolAtom(1))
+    only_pos = [((0.0, 0.0), 1), ((1.0, 0.0), 1)]
+    learner = OccamLearner(BOOL2)
+    assert learner.next() is FALSE
+    for x, label in only_pos:
+        learner.add(x, label)
+    assert learner.next() is TRUE
+    # true is still consistent: the next answer is the first clause after it
+    assert learner.next() == Not(BoolAtom(1))
+    noconst = OccamLearner(Grammar(BOOL2.features, 2, 2, include_constants=False))
+    assert noconst.next() == BoolAtom(0)
+    for x, label in only_pos:
+        noconst.add(x, label)
+    assert noconst.next() == Not(BoolAtom(1))
 
 
-X0, X1 = BoolAtom(0), BoolAtom(1)
+NOCONST = Grammar(MIXED.features, 2, 2, include_constants=False)
 
 
 @pytest.mark.parametrize(
-    "after",
-    [
-        BoolAtom(2),
-        Or((X0, X1, Not(X0))),
-        And((X0, X1, Not(X1))),
-        And((Or((X0, X1)), Not(X0))),
-        And((X0, X0)),
-        Or((X1, X1)),
-    ],
-    ids=[
-        "unknown-literal",
-        "too-many-clauses",
-        "long-clause",
-        "non-dnf",
-        "repeated-literal",
-        "repeated-clause",
-    ],
+    "g",
+    [BOOL2, REAL1, MIXED, MIXED3, NOCONST],
+    ids=["bool2", "real1", "mixed", "mixed3", "noconst"],
 )
-def test_synthesize_after_outside_the_class_raises(after):
-    with pytest.raises(GrammarError):
-        synthesize(Sample([((0.0, 1.0), 1)]), BOOL2, after=after)
+@pytest.mark.parametrize("strategy", ["occam", "general"])
+@given(st.lists(sample_points, min_size=1, max_size=4), st.randoms(use_true_random=False))
+@settings(max_examples=40, deadline=None)
+def test_learner_fed_round_by_round_equals_one_shot(g, strategy, rounds, rnd):
+    """Each answer equals the one-shot learner on the sample accumulated so far.
+
+    The occam learner gets counterexamples to its last answer in every round
+    (its first point, at least, is one); the general learner gets any points.
+    """
+    occam = strategy == "occam"
+    learner = OccamLearner(g) if occam else GeneralLearner(g)
+    sample = Sample()
+
+    def one_shot():
+        if occam:
+            return _first_consistent(g, sample)
+        # the cover does not depend on the order of the points
+        want = synthesize_general(sample, g)
+        assert synthesize_general(Sample(reversed(sample.entries)), g) == want
+        return want
+
+    for points in rounds:
+        answer = learner.next()
+        assert answer == one_shot()
+        if occam and answer is None:
+            return
+        for j, x in enumerate(points):
+            label = rnd.choice((0, 1))
+            if occam and (j == 0 or rnd.random() < 0.5):
+                label = int(not evaluate(answer, x))
+            try:
+                if sample.add(x, label):
+                    learner.add(x, label)
+            except InconsistentSampleError:
+                pass
+        if occam and is_consistent(answer, sample):
+            return  # no counterexample landed: the next answer comes after this one
+    assert learner.next() == one_shot()
 
 
 def test_synthesize_empty_sample_returns_least_candidate():
@@ -487,6 +502,15 @@ def test_grammar_validation():
         GrammarFeature(0, "real", (0.5,), ("<", "<="))
     with pytest.raises(GrammarError):
         GrammarFeature(0, "complex")
+
+
+def test_grammar_rejects_duplicate_ops():
+    # a repeated op would put the literal (< x0 0.5) into the class twice
+    # and break the strictly increasing enumeration
+    with pytest.raises(GrammarError, match="duplicate ops"):
+        Grammar.from_json(
+            {"features": [{"kind": "real", "constants": [0.5], "ops": ["<", "<"]}]}
+        )
 
 
 def test_grammar_feature_normalization():
