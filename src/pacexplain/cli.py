@@ -27,7 +27,6 @@ from .engine import (
     run_report,
     write_report,
 )
-from .formula import parse
 from .model import load_dataset, load_manifest, load_model, accuracy_on
 from .query import load_query
 from .synthesizer import Grammar, Sample, default_grammar, export_sygus_if
@@ -121,7 +120,7 @@ def _load_names_kinds(args):
         return data.feature_names, data.kinds, data
     if args.manifest:
         manifest = load_manifest(args.manifest)
-        return manifest.get("featureNames"), manifest.get("kinds"), None
+        return manifest["featureNames"], manifest["kinds"], None
     return None, None, None
 
 
@@ -209,7 +208,7 @@ def _log_run(result):
     )
 
 
-def _print_summary(report: dict, data, cfg):
+def _print_summary(report: dict, result, data):
     stats = report["stats"]
     lines = [
         f"outcome:      {report['outcome']}"
@@ -223,9 +222,9 @@ def _print_summary(report: dict, data, cfg):
         f" (learner {stats['learnerSeconds']:.2f}s,"
         f" verifier {stats['verifierSeconds']:.2f}s)",
     ]
-    if data is not None and report["explanation"] is not None:
-        f = parse(report["explanation"], cfg.model.arity)
-        acc = accuracy_on(f, data, cfg.query, cfg.target_class)
+    if data is not None and result.explanation is not None:
+        cfg = result.config
+        acc = accuracy_on(result.explanation, data, cfg.query, cfg.target_class)
         lines.append(f"dataset accuracy: {acc}")
     print("\n".join(lines))
 
@@ -240,7 +239,7 @@ def _cmd_explain(args) -> int:
     if args.json:
         print(json.dumps(report, indent=2, sort_keys=True))
     else:
-        _print_summary(report, data, cfg)
+        _print_summary(report, result, data)
     return _outcome_exit(result.outcome)
 
 
@@ -325,11 +324,7 @@ def _cmd_replay(args) -> int:
 
 
 def _cmd_export(args) -> int:
-    names = None
-    if args.dataset:
-        names = load_dataset(args.dataset).feature_names
-    elif args.manifest:
-        names = load_manifest(args.manifest).get("featureNames")
+    names, _, _ = _load_names_kinds(args)
     with open(args.grammar, "r", encoding="utf-8") as fh:
         grammar = Grammar.from_json(json.load(fh), names)
     with open(args.sample, "r", encoding="utf-8") as fh:

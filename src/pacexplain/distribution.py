@@ -7,12 +7,13 @@ fixed per-feature order, so a fixed seed yields a bit-identical sequence.
 
 `sample` draws one point; `sample_block` draws n points as the rows of an
 (n, d) array and leaves the stream where n calls of `sample` leave it.
-`UniformBox` and `ProductPerFeature` spend exactly one double per feature:
-draw i consumes doubles i*d .. i*d+d-1, so one `rng.random((n, d))` call
-yields the doubles of n scalar draws in order, and `skip` jumps k draws
-ahead with `advance`. `Empirical` spends a varying number of stream values
-per draw (`integers`, then ziggurat `normal`), so it draws its blocks one
-point at a time and skips by drawing and discarding.
+`ProductPerFeature`, and `UniformBox`, its product of intervals, spend
+exactly one double per feature: draw i consumes doubles i*d .. i*d+d-1, so
+one `rng.random((n, d))` call yields the doubles of n scalar draws in
+order, and `skip` jumps k draws ahead with `advance`. `Empirical` spends a
+varying number of stream values per draw (`integers`, then ziggurat
+`normal`), so it draws its blocks one point at a time and skips by drawing
+and discarding.
 """
 
 from __future__ import annotations
@@ -55,29 +56,6 @@ class Distribution:
 
     def to_json(self) -> dict:
         raise NotImplementedError
-
-
-class UniformBox(Distribution):
-    def __init__(self, lo: Sequence[float], hi: Sequence[float]):
-        self.lo = tuple(float(v) for v in lo)
-        self.hi = tuple(float(v) for v in hi)
-        if len(self.lo) != len(self.hi):
-            raise DistributionError("lo and hi lengths differ")
-        if any(l > h for l, h in zip(self.lo, self.hi)):
-            raise DistributionError("box needs lo <= hi per feature")
-        self.arity = len(self.lo)
-        self._lo = np.asarray(self.lo)
-        self._span = np.asarray(self.hi) - self._lo
-
-    def sample(self, rng: np.random.Generator) -> tuple:
-        u = rng.random(self.arity)
-        return tuple((self._lo + u * self._span).tolist())
-
-    def sample_block(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return self._lo + rng.random((n, self.arity)) * self._span
-
-    def to_json(self) -> dict:
-        return {"uniformBox": {"lo": list(self.lo), "hi": list(self.hi)}}
 
 
 def _categorical(k: int, weights: dict) -> tuple:
@@ -211,6 +189,20 @@ class ProductPerFeature(Distribution):
         return {"product": specs}
 
 
+class UniformBox(ProductPerFeature):
+    """The product of the intervals [lo[j], hi[j]]."""
+
+    def __init__(self, lo: Sequence[float], hi: Sequence[float]):
+        self.lo = tuple(float(v) for v in lo)
+        self.hi = tuple(float(v) for v in hi)
+        if len(self.lo) != len(self.hi):
+            raise DistributionError("lo and hi lengths differ")
+        super().__init__([("interval", l, h) for l, h in zip(self.lo, self.hi)])
+
+    def to_json(self) -> dict:
+        return {"uniformBox": {"lo": list(self.lo), "hi": list(self.hi)}}
+
+
 class Empirical(Distribution):
     """Dataset rows plus Gaussian noise on real features, clamped to [0, 1].
 
@@ -276,7 +268,7 @@ def default_distribution(kinds: Sequence[str]) -> Distribution:
     return ProductPerFeature(specs)
 
 
-def distribution_from_json(obj: dict, load_dataset_fn=None) -> Distribution:
+def distribution_from_json(obj: dict) -> Distribution:
     if "uniformBox" in obj:
         spec = obj["uniformBox"]
         return UniformBox(spec["lo"], spec["hi"])
@@ -294,8 +286,8 @@ def distribution_from_json(obj: dict, load_dataset_fn=None) -> Distribution:
         return ProductPerFeature(specs)
     if "empirical" in obj:
         spec = obj["empirical"]
-        if load_dataset_fn is None:
-            from .model import load_dataset as load_dataset_fn
-        data = load_dataset_fn(spec["dataset"])
+        from .model import load_dataset
+
+        data = load_dataset(spec["dataset"])
         return Empirical(data, spec.get("sigma", 0.0), path=spec["dataset"])
     raise DistributionError("distribution JSON needs uniformBox, product, or empirical")

@@ -7,12 +7,15 @@ and exact-match lookup tables. The explanation engine only ever calls
 `classify_batch`, which labels the rows of a block; the base class derives
 it from `classify`, so anything exposing `classify` can be plugged in.
 
-Datasets come from RFC-4180 CSV files with a header row; the last column is
-the class. Features are min-max normalized to [0, 1]; columns whose raw
-values lie in {0, 1} are tagged boolean and kept as-is; non-numeric columns
-are label-encoded by sorted category name before normalization. The
-normalization bounds and encodings are recorded in a manifest so queries
-and grammars written against feature names resolve consistently.
+Datasets come from RFC-4180 CSV files with a header row of distinct
+feature names; the last column is the class. Features are min-max
+normalized to [0, 1]; columns whose raw values lie in {0, 1} are tagged
+boolean and kept as-is; non-numeric columns are label-encoded by sorted
+category name before normalization. The normalization bounds and encodings
+are recorded in a manifest so queries and grammars written against feature
+names resolve consistently. There is one normalization path: without a
+manifest, `load_dataset` infers one from the columns and then applies it as
+it would apply a manifest saved from another file.
 """
 
 from __future__ import annotations
@@ -347,14 +350,43 @@ def save_manifest(data: Dataset, path: str):
 
 def load_manifest(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        manifest = json.load(fh)
+    _check_manifest(manifest, path)
+    return manifest
+
+
+def _check_manifest(manifest, source: str):
+    """Raise DatasetFormatError unless `manifest` names distinct features and
+    gives each one a kind, "bool" or "real", and a [lo, hi] bound."""
+    if not isinstance(manifest, dict):
+        raise DatasetFormatError(f"{source}: manifest must be a JSON object")
+    names = manifest.get("featureNames")
+    if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
+        raise DatasetFormatError(f"{source}: manifest featureNames must be a list of names")
+    if len(set(names)) != len(names):
+        raise DatasetFormatError(f"{source}: manifest featureNames are not distinct")
+    kinds = manifest.get("kinds")
+    if not isinstance(kinds, list) or len(kinds) != len(names) or any(
+        kind not in ("bool", "real") for kind in kinds
+    ):
+        raise DatasetFormatError(
+            f'{source}: manifest needs one kind, "bool" or "real", per feature'
+        )
+    bounds = manifest.get("bounds")
+    if not isinstance(bounds, list) or len(bounds) != len(names) or not all(
+        isinstance(b, (list, tuple))
+        and len(b) == 2
+        and all(isinstance(v, (int, float)) for v in b)
+        for b in bounds
+    ):
+        raise DatasetFormatError(f"{source}: manifest needs one [lo, hi] bound per feature")
 
 
 def load_dataset(path: str, manifest: Optional[dict] = None) -> Dataset:
     """Load a CSV dataset; header row names features, last column is the class.
 
     With `manifest`, its bounds and categorical encodings are applied instead
-    of being inferred (unknown categories are an error).
+    of those inferred from the columns (unknown categories are an error).
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -367,6 +399,8 @@ def load_dataset(path: str, manifest: Optional[dict] = None) -> Dataset:
         raise DatasetFormatError(f"{path}: need at least one feature and a class column")
     feature_names = header[:-1]
     n = len(feature_names)
+    if len(set(feature_names)) != n:
+        raise DatasetFormatError(f"{path}: feature names in the header are not distinct")
     for k, row in enumerate(raw_rows):
         if len(row) != n + 1:
             raise DatasetFormatError(
@@ -377,65 +411,48 @@ def load_dataset(path: str, manifest: Optional[dict] = None) -> Dataset:
 
     labels = [row[-1] for row in raw_rows]
     columns = [[row[j] for row in raw_rows] for j in range(n)]
+    if manifest is None:
+        manifest = _infer_manifest(feature_names, columns, labels)
+    else:
+        _check_manifest(manifest, path)
+    return _apply_manifest(path, feature_names, columns, labels, manifest)
 
-    if manifest is not None:
-        return _apply_manifest(path, feature_names, columns, labels, manifest)
 
-    categorical = {}
-    numeric_cols = []
-    for j, col in enumerate(columns):
-        values = []
-        is_numeric = True
-        for cell in col:
-            try:
-                values.append(float(cell))
-            except ValueError:
-                is_numeric = False
-                break
-        if is_numeric:
-            numeric_cols.append(values)
-        else:
-            mapping = {name: code for code, name in enumerate(sorted(set(col)))}
-            categorical[feature_names[j]] = mapping
-            numeric_cols.append([float(mapping[cell]) for cell in col])
-
-    kinds = []
-    bounds = []
-    normalized = []
-    for j, values in enumerate(numeric_cols):
-        lo, hi = min(values), max(values)
+def _infer_manifest(feature_names, columns, labels) -> dict:
+    """Kinds, min-max bounds, category codes and classes read off the columns."""
+    kinds, bounds, categorical = [], [], {}
+    for name, col in zip(feature_names, columns):
+        try:
+            values = [float(cell) for cell in col]
+        except ValueError:
+            codes = {c: code for code, c in enumerate(sorted(set(col)))}
+            categorical[name] = codes
+            values = [float(codes[cell]) for cell in col]
         if set(values) <= {0.0, 1.0}:
             kinds.append("bool")
-            bounds.append((0.0, 1.0))
-            normalized.append(values)
+            bounds.append([0.0, 1.0])
         else:
             kinds.append("real")
-            bounds.append((lo, hi))
-            if lo == hi:
-                normalized.append([0.0] * len(values))
-            else:
-                normalized.append([(v - lo) / (hi - lo) for v in values])
-
-    rows = [
-        (tuple(normalized[j][k] for j in range(n)), labels[k])
-        for k in range(len(raw_rows))
-    ]
-    classes = sorted(set(labels))
-    return Dataset(feature_names, kinds, rows, bounds, categorical, classes)
+            bounds.append([min(values), max(values)])
+    return {
+        "featureNames": list(feature_names),
+        "kinds": kinds,
+        "bounds": bounds,
+        "categorical": categorical,
+        "classes": sorted(set(labels)),
+    }
 
 
 def _apply_manifest(path, feature_names, columns, labels, manifest) -> Dataset:
-    if manifest.get("featureNames") != list(feature_names):
+    if manifest["featureNames"] != list(feature_names):
         raise DatasetFormatError(f"{path}: feature names do not match manifest")
     kinds = list(manifest["kinds"])
     bounds = [(lo, hi) for lo, hi in manifest["bounds"]]
     categorical = {k: dict(v) for k, v in manifest.get("categorical", {}).items()}
-    n = len(feature_names)
     normalized = []
-    for j in range(n):
-        name = feature_names[j]
+    for name, kind, (lo, hi), col in zip(feature_names, kinds, bounds, columns):
         out = []
-        for cell in columns[j]:
+        for cell in col:
             if name in categorical:
                 if cell not in categorical[name]:
                     raise DatasetFormatError(
@@ -451,18 +468,14 @@ def _apply_manifest(path, feature_names, columns, labels, manifest) -> Dataset:
                         f"{path}: non-numeric cell {cell!r} for feature {name!r}"
                         " without a categorical mapping"
                     ) from None
-            lo, hi = bounds[j]
-            if kinds[j] == "bool":
+            if kind == "bool":
                 out.append(v)
             elif lo == hi:
                 out.append(0.0)
             else:
                 out.append((v - lo) / (hi - lo))
         normalized.append(out)
-    rows = [
-        (tuple(normalized[j][k] for j in range(n)), labels[k])
-        for k in range(len(labels))
-    ]
+    rows = list(zip(zip(*normalized), labels))
     classes = manifest.get("classes") or sorted(set(labels))
     return Dataset(list(feature_names), kinds, rows, bounds, categorical, list(classes))
 

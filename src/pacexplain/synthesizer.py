@@ -339,18 +339,24 @@ def _candidate_stream(g: Grammar, group) -> Iterator[tuple]:
             yield from _level(group, s, m, max_lits)
 
 
+def _conjunction(lits) -> Formula:
+    """true, the one literal, or the And of the literals."""
+    lits = tuple(lits)
+    if len(lits) > 1:
+        return And(lits)
+    return lits[0] if lits else TRUE
+
+
+def _disjunction(clauses) -> Formula:
+    """false, the one clause, or the Or of the clauses."""
+    clauses = tuple(clauses)
+    if len(clauses) > 1:
+        return Or(clauses)
+    return clauses[0] if clauses else FALSE
+
+
 def _build_formula(lits, clause_tuple: tuple) -> Formula:
-    clauses = []
-    for combo, _ in clause_tuple:
-        if not combo:
-            clauses.append(TRUE)
-        elif len(combo) == 1:
-            clauses.append(lits[combo[0]])
-        else:
-            clauses.append(And(tuple(lits[i] for i in combo)))
-    if len(clauses) == 1:
-        return clauses[0]
-    return Or(tuple(clauses)) if clauses else FALSE
+    return _disjunction(_conjunction(lits[i] for i in combo) for combo, _ in clause_tuple)
 
 
 _DEADLINE_STRIDE = 4096
@@ -463,11 +469,7 @@ def _cell_clause(g: Grammar, sig: tuple) -> Formula:
             lits.append(Atom(f.index, ">", f.constants[lo - 1]))
         if hi < len(f.constants) and "<" in f.ops:
             lits.append(Atom(f.index, "<", f.constants[hi]))
-    if not lits:
-        return TRUE
-    if len(lits) == 1:
-        return lits[0]
-    return And(tuple(lits))
+    return _conjunction(lits)
 
 
 class GeneralLearner:
@@ -504,13 +506,9 @@ class GeneralLearner:
         bisect.insort(self._keys, key)
 
     def next(self, deadline: Optional[float] = None) -> Optional[Formula]:
-        if self._failed:
+        if self._failed or not (self._keys or self._g.include_constants):
             return None
-        if not self._keys:
-            return FALSE if self._g.include_constants else None
-        if len(self._keys) == 1:
-            return self._clauses[self._keys[0]]
-        return Or(tuple(self._clauses[k] for k in self._keys))
+        return _disjunction(self._clauses[k] for k in self._keys)
 
 
 def synthesize_general(sample: Sample, g: Grammar) -> Optional[Formula]:

@@ -10,6 +10,7 @@ import subprocess
 
 import pytest
 
+from pacexplain import load_dataset, save_manifest
 from pacexplain.cli import main
 
 
@@ -31,6 +32,37 @@ def test_explain_summary_with_dataset_names(data_dir, capsys):
     assert "outcome:      explanation" in out
     assert "(and fins (not breathes))" in out
     assert "dataset accuracy: 1.0" in out
+
+
+def test_explain_summary_with_manifest_names(data_dir, tmp_path, capsys):
+    manifest = tmp_path / "m.json"
+    save_manifest(load_dataset(str(data_dir / "zoo.csv")), str(manifest))
+    code = main(zoo_args(data_dir, "--manifest", str(manifest)))
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "(and fins (not breathes))" in out
+    assert "dataset accuracy" not in out
+
+
+@pytest.mark.parametrize("change", [
+    {"kinds": ["real"]},
+    {"kinds": None},
+    {"bounds": [[0.0, 1.0]] * 3},
+    {"featureNames": ["a", "a", "b", "c"]},
+], ids=["short-kinds", "no-kinds", "short-bounds", "duplicate-names"])
+def test_malformed_manifest_exits_one(data_dir, tmp_path, capsys, change):
+    manifest = load_dataset(str(data_dir / "iris.csv")).manifest()
+    manifest.update(change)
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(manifest))
+    code = main([
+        "explain",
+        "--model", str(data_dir / "mlp_iris.json"),
+        "--class", "virginica",
+        "--manifest", str(path),
+    ])
+    assert code == 1
+    assert "manifest" in capsys.readouterr().err
 
 
 def test_explain_json_output(data_dir, capsys):
@@ -264,6 +296,28 @@ def test_export_sygus(data_dir, tmp_path, capsys):
                  "--sample", str(sample), "--arity", "2", "--out", str(out)])
     assert code == 0
     assert out.read_text() == text
+
+
+def test_export_sygus_names_from_dataset_or_manifest(data_dir, tmp_path, capsys):
+    grammar = tmp_path / "grammar.json"
+    grammar.write_text(json.dumps({
+        "features": [{"name": "fins", "kind": "bool"}, {"name": "breathes", "kind": "bool"}],
+        "maxClauses": 1,
+        "maxLiteralsPerClause": 2,
+    }))
+    sample = tmp_path / "sample.json"
+    sample.write_text(json.dumps({"entries": [{"x": [0.0] * 16, "label": 0}]}))
+    manifest = tmp_path / "m.json"
+    save_manifest(load_dataset(str(data_dir / "zoo.csv")), str(manifest))
+    texts = []
+    for names in (["--dataset", str(data_dir / "zoo.csv")], ["--manifest", str(manifest)]):
+        code = main(["export-sygus", "--grammar", str(grammar), "--sample", str(sample), *names])
+        assert code == 0
+        texts.append(capsys.readouterr().out)
+    assert texts[0] == texts[1]
+    assert "(= fins 1.0)" in texts[0]
+    assert "(not (= breathes 1.0))" in texts[0]
+    assert "(hair Real)" in texts[0]
 
 
 def test_version_and_help_exit_zero(capsys):

@@ -57,6 +57,15 @@ def test_uniform_box_validation():
         UniformBox([1.0], [0.0])
 
 
+def test_uniform_box_is_a_product_of_intervals():
+    box = UniformBox([0.0, -1.0], [2.0, 1.0])
+    prod = ProductPerFeature([("interval", 0.0, 2.0), ("interval", -1.0, 1.0)])
+    assert box.specs == prod.specs
+    r1, r2 = rng(5), rng(5)
+    assert [box.sample(r1) for _ in range(20)] == [prod.sample(r2) for _ in range(20)]
+    assert box.to_json() == {"uniformBox": {"lo": [0.0, -1.0], "hi": [2.0, 1.0]}}
+
+
 def test_uniform_boolean_is_fair():
     dist = default_distribution(["bool"] * 2)
     r = rng(3)

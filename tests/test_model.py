@@ -374,6 +374,73 @@ def test_manifest_rejects_renamed_features(tmp_path):
         load_dataset(str(test), data.manifest())
 
 
+def test_manifest_path_on_every_column_kind(tmp_path):
+    path = tmp_path / "d.csv"
+    path.write_text(
+        "size,const,color,flag,class\n"
+        "2,5,red,0,x\n"
+        "4.5,5,green,1,y\n"
+        "7,5,blue,1,x\n"
+        "3,5,red,0,z\n",
+        encoding="utf-8",
+    )
+    data = load_dataset(str(path))
+    assert data.kinds == ["real", "real", "real", "bool"]
+    assert data.bounds == [(2.0, 7.0), (5.0, 5.0), (0.0, 2.0), (0.0, 1.0)]
+    assert data.categorical == {"color": {"blue": 0, "green": 1, "red": 2}}
+    assert [x for x, _ in data.rows][:2] == [(0.0, 0.0, 1.0, 0.0), (0.5, 0.0, 0.5, 1.0)]
+    mpath = tmp_path / "m.json"
+    save_manifest(data, str(mpath))
+    again = load_dataset(str(path), load_manifest(str(mpath)))
+    assert again.rows == data.rows
+    assert again.kinds == data.kinds
+    assert again.bounds == data.bounds
+    assert again.categorical == data.categorical
+    assert again.classes == data.classes == ["x", "y", "z"]
+
+
+def test_duplicate_feature_names_rejected(tmp_path):
+    path = tmp_path / "d.csv"
+    path.write_text("a,a,class\n0.1,0.9,x\n0.7,0.2,y\n", encoding="utf-8")
+    with pytest.raises(DatasetFormatError, match="not distinct"):
+        load_dataset(str(path))
+
+
+def _drop(key):
+    return lambda m: {k: v for k, v in m.items() if k != key}
+
+
+def _set(key, value):
+    return lambda m: {**m, key: value}
+
+
+MALFORMED_MANIFESTS = {
+    "not-an-object": lambda m: [m],
+    "no-names": _drop("featureNames"),
+    "duplicate-names": _set("featureNames", ["a", "a"]),
+    "no-kinds": _drop("kinds"),
+    "short-kinds": _set("kinds", ["real"]),
+    "unknown-kind": _set("kinds", ["real", "int"]),
+    "no-bounds": _drop("bounds"),
+    "short-bounds": _set("bounds", [[0.0, 1.0]]),
+    "bound-not-a-pair": _set("bounds", [[0.0, 1.0], [0.0]]),
+    "text-bound": _set("bounds", [[0.0, 1.0], ["0", "1"]]),
+}
+
+
+@pytest.mark.parametrize("name", list(MALFORMED_MANIFESTS))
+def test_malformed_manifest_rejected(tmp_path, name):
+    path = tmp_path / "d.csv"
+    path.write_text("a,b,class\n0.1,0.9,x\n0.7,0.2,y\n", encoding="utf-8")
+    manifest = MALFORMED_MANIFESTS[name](load_dataset(str(path)).manifest())
+    mpath = tmp_path / "m.json"
+    mpath.write_text(json.dumps(manifest), encoding="utf-8")
+    with pytest.raises(DatasetFormatError):
+        load_manifest(str(mpath))
+    with pytest.raises(DatasetFormatError):
+        load_dataset(str(path), manifest)
+
+
 def test_dataset_format_errors(tmp_path):
     empty = tmp_path / "empty.csv"
     empty.write_text("", encoding="utf-8")
