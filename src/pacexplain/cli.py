@@ -115,6 +115,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load_names_kinds(args):
     """Feature names/kinds and dataset from --dataset or --manifest."""
+    if args.dataset and args.manifest:
+        raise CliError("give --dataset or --manifest, not both")
     if args.dataset:
         data = load_dataset(args.dataset)
         return data.feature_names, data.kinds, data

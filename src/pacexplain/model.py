@@ -356,8 +356,9 @@ def load_manifest(path: str) -> dict:
 
 
 def _check_manifest(manifest, source: str):
-    """Raise DatasetFormatError unless `manifest` names distinct features and
-    gives each one a kind, "bool" or "real", and a [lo, hi] bound."""
+    """Raise DatasetFormatError unless `manifest` names distinct features,
+    gives each one a kind, "bool" or "real", and a [lo, hi] bound, and maps
+    categorical features to numeric codes."""
     if not isinstance(manifest, dict):
         raise DatasetFormatError(f"{source}: manifest must be a JSON object")
     names = manifest.get("featureNames")
@@ -380,6 +381,17 @@ def _check_manifest(manifest, source: str):
         for b in bounds
     ):
         raise DatasetFormatError(f"{source}: manifest needs one [lo, hi] bound per feature")
+    categorical = manifest.get("categorical", {})
+    if not isinstance(categorical, dict) or not all(
+        name in names
+        and isinstance(codes, dict)
+        and all(isinstance(code, (int, float)) for code in codes.values())
+        for name, codes in categorical.items()
+    ):
+        raise DatasetFormatError(
+            f"{source}: manifest categorical must map feature names to"
+            " {category: numeric code} objects"
+        )
 
 
 def load_dataset(path: str, manifest: Optional[dict] = None) -> Dataset:

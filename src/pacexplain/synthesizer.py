@@ -17,8 +17,16 @@ the stream; they are distinct canonical forms.
 `synthesize` returns the first formula in that order consistent with the
 sample, or None when the entire class is inconsistent. The scan prunes
 soundly: any clause of a consistent DNF must reject every negative example,
-so clauses satisfied by some negative are dropped before combination;
-single-clause candidates must additionally cover every positive.
+so clauses satisfied by some negative are dropped before combination.
+
+The scan searches the last clause instead of trying it. It walks ranges:
+the first m - 1 clauses of a candidate (the prefix) and the k-literal
+clauses that may end it. A clause holds the positives the prefix misses
+only if each of its literals holds all of them, since its positive mask is
+the AND of its literals' masks. So only the k-combinations of those
+literals are looked up, and combinations order is the clauses' candidate
+order: the first hit is the first consistent candidate of the range, and a
+range without one is skipped whole.
 
 An engine run keeps one learner per strategy and feeds it each round's
 counterexamples. `OccamLearner` pauses its scan between rounds and
@@ -264,54 +272,67 @@ def is_consistent(f: Formula, sample: Sample) -> bool:
 
 # --- ordered candidate stream ------------------------------------------------
 #
-# A clause record is a mutable [literal_indices, positives_mask] list, and a
-# candidate is a tuple of clause records. `group(k)` lists the records of the
-# k-literal clauses in itertools.combinations order over the sorted
-# literals, which is their candidate order. A level (s, m) holds the
-# candidates of total size s with m clauses. Every clause key starts with
-# the clause's size, so walking clause sizes upward, and each size group
-# from the record after the previous one, yields a level in candidate order.
-# The constants come first: false is the empty disjunction and true the
-# empty clause, record [(), mask] of group(0).
+# A clause record is a mutable [literal_indices, positives_mask] list.
+# `group(k)` lists the records of the k-literal clauses in
+# itertools.combinations order over the sorted literals, which is their
+# candidate order, and `index[k]` maps each record's literal indices to its
+# place in group(k). A candidate is a tuple of clause records. A level (s, m)
+# holds the candidates of total size s with m clauses. Every clause key
+# starts with the clause's size, so walking clause sizes upward, and each
+# size group from the record after the previous one, yields a level in
+# candidate order.
+#
+# The scan walks ranges of candidates. A range (prefix, k, start) is the
+# first m - 1 clause records of a candidate plus the records of group(k)
+# from place `start` on, each of which completes it. The constants come
+# first: false is the empty disjunction, and true the range over group(0),
+# whose one record is the empty clause.
 
 
-def _make_group_fn(lits, masks_p, masks_n, cache):
+def _make_group_fn(lits, masks_p, masks_n, cache, index):
     """group(k): the k-literal clauses that reject every negative example.
 
-    Each group is built once, into `cache`, from the per-literal masks of
-    the points seen so far; the learner updates its records after that.
+    Each group and its index are built once, into `cache` and `index`, from
+    the per-literal masks of the points seen so far; the learner updates its
+    records after that.
     """
 
     def group(k: int) -> list:
         if k in cache:
             return cache[k]
         records = []
-        for combo in itertools.combinations(range(len(lits)), k):
-            mn = masks_n[combo[0]]
-            for i in combo[1:]:
+        places = {}
+        n = len(lits)
+        for head in itertools.combinations(range(n), k - 1):
+            mn = mp = -1
+            for i in head:
                 mn &= masks_n[i]
-                if not mn:
-                    break
-            if mn:
-                continue
-            mp = masks_p[combo[0]]
-            for i in combo[1:]:
                 mp &= masks_p[i]
-            records.append([combo, mp])
+            for last in range(head[-1] + 1 if head else 0, n):
+                if mn & masks_n[last]:
+                    continue
+                combo = head + (last,)
+                places[combo] = len(records)
+                records.append([combo, mp & masks_p[last]])
         cache[k] = records
+        index[k] = places
         return records
 
     return group
 
 
-def _level(group, s: int, m: int, max_lits: int, k_lo: int = 1, i_lo: int = 0):
-    """Clause tuples of total size s with m clauses, in candidate order.
+def _level(group, s: int, m: int, max_lits: int, k_lo: int = 1, i_lo: int = 0, prefix=()):
+    """The ranges of the clause tuples of total size s with m clauses, in order.
 
     The first clause is at least record i_lo of group(k_lo), or any record
     of a larger group; the other m - 1 clauses follow it. Records that hold
-    a negative example (mask -1) are skipped; a tuple already under way
-    when one dies fails the cover test.
+    a negative example (mask -1) are skipped; a range whose prefix dies
+    while it is under way covers nothing.
     """
+    if m == 1:
+        if k_lo <= s <= max_lits:
+            yield prefix, s, (i_lo if s == k_lo else 0)
+        return
     for k in range(k_lo, max_lits + 1):
         rest = s - k
         if rest < k * (m - 1) or rest > max_lits * (m - 1):
@@ -319,20 +340,18 @@ def _level(group, s: int, m: int, max_lits: int, k_lo: int = 1, i_lo: int = 0):
         records = group(k)
         for j in range(i_lo if k == k_lo else 0, len(records)):
             rec = records[j]
-            if rec[1] < 0:
-                continue
-            if m == 1:
-                yield (rec,)
-            else:
-                for tail in _level(group, rest, m - 1, max_lits, k, j + 1):
-                    yield (rec,) + tail
+            if rec[1] >= 0:
+                yield from _level(group, rest, m - 1, max_lits, k, j + 1, prefix + (rec,))
 
 
-def _candidate_stream(g: Grammar, group) -> Iterator[tuple]:
-    """Every clause tuple of the grammar, level by level, in candidate order."""
+def _ranges(g: Grammar, group) -> Iterator[Optional[tuple]]:
+    """Every candidate of the grammar, as ranges, in candidate order.
+
+    None stands for false, the one candidate with no last clause.
+    """
     if g.include_constants:
-        yield ()  # false
-        yield (group(0)[0],)  # true
+        yield None
+        yield (), 0, 0  # true
     max_lits = g.max_literals_per_clause
     for s in range(1, g.max_clauses * max_lits + 1):
         for m in range(max(1, -(-s // max_lits)), min(g.max_clauses, s) + 1):
@@ -369,7 +388,8 @@ class OccamLearner:
     after the last one it returned that is consistent with every point
     added so far, or None when the rest of the class has none. A new
     positive sets its bit in the clause records that hold it; a new
-    negative sets their mask to -1, so no candidate with one covers.
+    negative sets their mask to -1, so no candidate with one covers. `add`
+    looks up only the records whose literals all hold the point.
     """
 
     def __init__(self, g: Grammar):
@@ -381,36 +401,75 @@ class OccamLearner:
         # over these containers, not over the learner: a cycle through a
         # suspended generator would wait for the cyclic collector.
         self._groups = {0: [[(), 0]]}
-        group = _make_group_fn(self._lits, self._masks_p, self._masks_n, self._groups)
-        self._stream = _candidate_stream(g, group)
+        self._index = {0: {(): 0}}
+        self._group = _make_group_fn(
+            self._lits, self._masks_p, self._masks_n, self._groups, self._index
+        )
+        self._stream = _ranges(g, self._group)
+        self._resume = ()  # the rest of the range of the last answer
 
     def add(self, x: Sequence[float], label: int):
         bit = 1 << self._counts[label]
         self._counts[label] += 1
         masks = self._masks_p if label else self._masks_n
-        missed = set()
+        held = []
         for i, lit in enumerate(self._lits):
             if evaluate(lit, x):
                 masks[i] |= bit
-            else:
-                missed.add(i)
-        for records in self._groups.values():
-            for rec in records:
-                if rec[1] >= 0 and missed.isdisjoint(rec[0]):
-                    rec[1] = rec[1] | bit if label else -1
+                held.append(i)
+        for k, records in self._groups.items():
+            places = self._index[k]
+            for combo in itertools.combinations(held, k):
+                j = places.get(combo)
+                if j is not None:
+                    rec = records[j]
+                    if rec[1] >= 0:
+                        rec[1] = rec[1] | bit if label else -1
+
+    def _last_clause(self, need: int, k: int, records: list, start: int) -> Optional[int]:
+        """Place of the first live record of group(k) from `start` on that
+        holds every positive in `need`, or None."""
+        if start >= len(records):
+            return None
+        places = self._index[k]
+        lo = records[start][0]
+        masks_p = self._masks_p
+        # a combination whose first literal is below lo's comes before lo
+        able = [
+            i for i in range(lo[0] if lo else 0, len(masks_p)) if masks_p[i] & need == need
+        ]
+        for combo in itertools.combinations(able, k):
+            j = places.get(combo)
+            if j is not None and j >= start and records[j][1] >= 0:
+                return j
+        return None
 
     def next(self, deadline: Optional[float] = None) -> Optional[Formula]:
         """Raises SynthesisDeadlineError when the scan passes the deadline."""
         full_p = (1 << self._counts[1]) - 1
         checked = 0
-        for clause_tuple in self._stream:
+        clock = _DEADLINE_STRIDE
+        resume, self._resume = self._resume, ()
+        for rng in itertools.chain(resume, self._stream):
+            if rng is None:
+                if not full_p:
+                    return FALSE
+                checked += 1
+                continue
+            prefix, k, start = rng
+            records = self._group(k)
             covered = 0
-            for rec in clause_tuple:
+            for rec in prefix:
                 covered |= rec[1]
-            if covered == full_p:
-                return _build_formula(self._lits, clause_tuple)
-            checked += 1
-            if deadline is not None and checked % _DEADLINE_STRIDE == 0:
+            j = None
+            if covered >= 0:  # else a prefix record died since the range began
+                j = self._last_clause(full_p & ~covered, k, records, start)
+            if j is not None:
+                self._resume = ((prefix, k, j + 1),)
+                return _build_formula(self._lits, prefix + (records[j],))
+            checked += len(records) - start
+            if deadline is not None and checked >= clock:
+                clock = checked + _DEADLINE_STRIDE
                 if time.perf_counter() > deadline:
                     raise SynthesisDeadlineError(
                         f"candidate scan passed its deadline after {checked} candidates"

@@ -65,6 +65,20 @@ def test_malformed_manifest_exits_one(data_dir, tmp_path, capsys, change):
     assert "manifest" in capsys.readouterr().err
 
 
+def test_dataset_and_manifest_together_exit_one(data_dir, tmp_path, capsys):
+    manifest = tmp_path / "m.json"
+    save_manifest(load_dataset(str(data_dir / "zoo.csv")), str(manifest))
+    both = ["--dataset", str(data_dir / "zoo.csv"), "--manifest", str(manifest)]
+    assert main(zoo_args(data_dir, *both)) == 1
+    assert "not both" in capsys.readouterr().err
+    sample = tmp_path / "sample.json"
+    sample.write_text(json.dumps({"entries": []}))
+    code = main(["export-sygus", "--grammar", str(data_dir / "zoo_grammar.json"),
+                 "--sample", str(sample), *both])
+    assert code == 1
+    assert "not both" in capsys.readouterr().err
+
+
 def test_explain_json_output(data_dir, capsys):
     code = main(zoo_args(data_dir, "--json"))
     assert code == 0

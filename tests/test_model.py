@@ -425,6 +425,10 @@ MALFORMED_MANIFESTS = {
     "short-bounds": _set("bounds", [[0.0, 1.0]]),
     "bound-not-a-pair": _set("bounds", [[0.0, 1.0], [0.0]]),
     "text-bound": _set("bounds", [[0.0, 1.0], ["0", "1"]]),
+    "categorical-not-an-object": _set("categorical", [["b", {"u": 0}]]),
+    "categorical-codes-not-an-object": _set("categorical", {"b": 5}),
+    "categorical-unknown-feature": _set("categorical", {"c": {"u": 0}}),
+    "categorical-text-code": _set("categorical", {"b": {"u": "0"}}),
 }
 
 

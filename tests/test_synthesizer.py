@@ -9,6 +9,7 @@ no code with the lazy level-by-level recursion it checks.
 import functools
 import itertools
 import json
+import random
 import time
 
 import pytest
@@ -269,12 +270,22 @@ def test_synthesize_after_a_constant_starts_at_the_first_clause():
 
 
 NOCONST = Grammar(MIXED.features, 2, 2, include_constants=False)
+# real features only, three clauses of up to three literals: 471 candidates,
+# with two-clause prefixes and paused last-clause ranges whose records die
+REAL3 = Grammar(
+    (
+        GrammarFeature(0, "real", (0.5,), ("<", ">")),
+        GrammarFeature(2, "real", (0.25, 0.75), ("<",)),
+    ),
+    max_clauses=3,
+    max_literals_per_clause=3,
+)
 
 
 @pytest.mark.parametrize(
     "g",
-    [BOOL2, REAL1, MIXED, MIXED3, NOCONST],
-    ids=["bool2", "real1", "mixed", "mixed3", "noconst"],
+    [BOOL2, REAL1, MIXED, MIXED3, NOCONST, REAL3],
+    ids=["bool2", "real1", "mixed", "mixed3", "noconst", "real3"],
 )
 @pytest.mark.parametrize("strategy", ["occam", "general"])
 @given(st.lists(sample_points, min_size=1, max_size=4), st.randoms(use_true_random=False))
@@ -368,6 +379,33 @@ def test_synthesize_deadline_fires():
             And((BoolAtom(1), Not(BoolAtom(0)))),
         )
     )
+
+
+def _xor_sample():
+    sample = Sample()
+    for a in (0.0, 1.0):
+        for b in (0.0, 1.0):
+            sample.add((a, b) + (0.0,) * 8, int(a != b))
+    return sample
+
+
+def test_deadline_counts_the_candidates_of_skipped_ranges():
+    # one clause of up to 4 of 20 literals: six ranges stand for 6,195
+    # candidates, and no one clause holds both positives of the xor
+    g = default_grammar(["bool"] * 10, max_clauses=1, max_literals_per_clause=4)
+    with pytest.raises(SynthesisDeadlineError):
+        synthesize(_xor_sample(), g, deadline=time.perf_counter() - 1.0)
+    assert synthesize(_xor_sample(), g) is None
+
+
+def test_no_two_clause_explanation_of_random_points():
+    """30 random points over 6 real features, about 70% positive."""
+    rnd = random.Random(0)
+    sample = Sample()
+    for _ in range(30):
+        sample.add(tuple(rnd.random() for _ in range(6)), int(rnd.random() < 0.7))
+    g = default_grammar(["real"] * 6, max_clauses=2, max_literals_per_clause=3)
+    assert synthesize(sample, g) is None
 
 
 # --- general (cover) synthesis -------------------------------------------------
