@@ -136,12 +136,14 @@ class RunResult:
 def _validate_config(cfg: RunConfig):
     if not 0.0 < cfg.epsilon < 1.0 or not 0.0 < cfg.delta < 1.0:
         raise ValueError("epsilon and delta must lie in (0, 1)")
-    if cfg.timeout <= 0:
+    if not cfg.timeout > 0:  # also a NaN, which no deadline would ever pass
         raise ValueError("timeout must be positive")
     if cfg.max_iterations < 1:
         raise ValueError("max_iterations must be >= 1")
     if cfg.counterexample_batch < 1:
         raise ValueError("counterexample_batch must be >= 1")
+    if cfg.accuracy_samples < 0:
+        raise ValueError("accuracy_samples must be >= 0")
     if cfg.strategy not in LEARNERS:
         raise ValueError(f"strategy must be one of {tuple(LEARNERS)}")
     if cfg.strategy == "general" and not cfg.grammar.include_constants:

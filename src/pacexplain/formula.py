@@ -119,6 +119,17 @@ def _canonical_children(kids: tuple) -> tuple:
     return tuple(sorted(kids, key=order_key))
 
 
+def _canonical_node(cls, children: tuple):
+    """cls(children) for at least two children already in canonical order.
+
+    It skips the check and the sort of the public constructor, which would
+    give back the same children.
+    """
+    node = object.__new__(cls)
+    object.__setattr__(node, "children", children)
+    return node
+
+
 def size(f: Formula) -> int:
     """Number of literal occurrences; constants count as 1."""
     key = getattr(f, "_key", None)

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -480,6 +481,10 @@ def _apply_manifest(path, feature_names, columns, labels, manifest) -> Dataset:
                         f"{path}: non-numeric cell {cell!r} for feature {name!r}"
                         " without a categorical mapping"
                     ) from None
+            if not math.isfinite(v):  # every load, inferred manifest or not, passes here
+                raise DatasetFormatError(
+                    f"{path}: non-finite value {cell!r} for feature {name!r}"
+                )
             if kind == "bool":
                 out.append(v)
             elif lo == hi:

@@ -24,9 +24,10 @@ the first m - 1 clauses of a candidate (the prefix) and the k-literal
 clauses that may end it. A clause holds the positives the prefix misses
 only if each of its literals holds all of them, since its positive mask is
 the AND of its literals' masks. So only the k-combinations of those
-literals are looked up, and combinations order is the clauses' candidate
-order: the first hit is the first consistent candidate of the range, and a
-range without one is skipped whole.
+literals are walked, each tested against the literals' negative masks, and
+combinations order is the clauses' candidate order: the first hit is the
+first consistent candidate of the range, and a range without one is
+skipped whole. Clause records are built and kept only for the prefixes.
 
 An engine run keeps one learner per strategy and feeds it each round's
 counterexamples. `OccamLearner` pauses its scan between rounds and
@@ -46,6 +47,7 @@ from __future__ import annotations
 import bisect
 import functools
 import itertools
+import math
 import time
 from dataclasses import dataclass
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
@@ -59,6 +61,7 @@ from .formula import (
     Formula,
     Not,
     Or,
+    _canonical_node,
     evaluate,
     order_key,
     size,
@@ -272,29 +275,32 @@ def is_consistent(f: Formula, sample: Sample) -> bool:
 
 # --- ordered candidate stream ------------------------------------------------
 #
-# A clause record is a mutable [literal_indices, positives_mask] list.
-# `group(k)` lists the records of the k-literal clauses in
-# itertools.combinations order over the sorted literals, which is their
-# candidate order, and `index[k]` maps each record's literal indices to its
-# place in group(k). A candidate is a tuple of clause records. A level (s, m)
+# A clause is the tuple of its literals' places in the sorted literals, and
+# itertools.combinations order over those places is the candidate order of
+# the clauses of one size. A candidate's first m - 1 clauses, its prefix, are
+# clause records: mutable [literal_places, positives_mask] lists. Groups
+# serve prefixes only: `group(k)` lists the records of the k-literal clauses
+# that reject every negative example, in combinations order, and `index[k]`
+# maps each record's literal places to its place in group(k). A level (s, m)
 # holds the candidates of total size s with m clauses. Every clause key
 # starts with the clause's size, so walking clause sizes upward, and each
 # size group from the record after the previous one, yields a level in
 # candidate order.
 #
-# The scan walks ranges of candidates. A range (prefix, k, start) is the
-# first m - 1 clause records of a candidate plus the records of group(k)
-# from place `start` on, each of which completes it. The constants come
-# first: false is the empty disjunction, and true the range over group(0),
-# whose one record is the empty clause.
+# The scan walks ranges of candidates. A range (prefix, k, after) is a
+# prefix plus every k-literal clause after the clause `after` (None: from
+# the first), each of which completes it. The constants come first: false
+# is the empty disjunction, and true the range of the one 0-literal clause,
+# the empty clause.
 
 
 def _make_group_fn(lits, masks_p, masks_n, cache, index):
     """group(k): the k-literal clauses that reject every negative example.
 
     Each group and its index are built once, into `cache` and `index`, from
-    the per-literal masks of the points seen so far; the learner updates its
-    records after that.
+    the per-literal masks of the points seen so far, when the scan first
+    takes a prefix clause from it; the learner updates its records after
+    that.
     """
 
     def group(k: int) -> list:
@@ -331,7 +337,7 @@ def _level(group, s: int, m: int, max_lits: int, k_lo: int = 1, i_lo: int = 0, p
     """
     if m == 1:
         if k_lo <= s <= max_lits:
-            yield prefix, s, (i_lo if s == k_lo else 0)
+            yield prefix, s, (prefix[-1][0] if prefix and s == k_lo else None)
         return
     for k in range(k_lo, max_lits + 1):
         rest = s - k
@@ -351,31 +357,40 @@ def _ranges(g: Grammar, group) -> Iterator[Optional[tuple]]:
     """
     if g.include_constants:
         yield None
-        yield (), 0, 0  # true
+        yield (), 0, None  # true
     max_lits = g.max_literals_per_clause
     for s in range(1, g.max_clauses * max_lits + 1):
         for m in range(max(1, -(-s // max_lits)), min(g.max_clauses, s) + 1):
             yield from _level(group, s, m, max_lits)
 
 
+@functools.lru_cache(maxsize=65536)
+def _combinations_after(n: int, k: int, after: Optional[tuple]) -> int:
+    """How many k-combinations of range(n) come after `after` (None: all)."""
+    if after is None:
+        return math.comb(n, k)
+    # those that first differ from `after` at place i, with a larger literal
+    return sum(math.comb(n - 1 - c, k - i) for i, c in enumerate(after))
+
+
 def _conjunction(lits) -> Formula:
-    """true, the one literal, or the And of the literals."""
+    """true, the one literal, or the And of the literals, in canonical order."""
     lits = tuple(lits)
     if len(lits) > 1:
-        return And(lits)
+        return _canonical_node(And, lits)
     return lits[0] if lits else TRUE
 
 
 def _disjunction(clauses) -> Formula:
-    """false, the one clause, or the Or of the clauses."""
+    """false, the one clause, or the Or of the clauses, in canonical order."""
     clauses = tuple(clauses)
     if len(clauses) > 1:
-        return Or(clauses)
+        return _canonical_node(Or, clauses)
     return clauses[0] if clauses else FALSE
 
 
-def _build_formula(lits, clause_tuple: tuple) -> Formula:
-    return _disjunction(_conjunction(lits[i] for i in combo) for combo, _ in clause_tuple)
+def _build_formula(lits, combos) -> Formula:
+    return _disjunction(_conjunction(lits[i] for i in combo) for combo in combos)
 
 
 _DEADLINE_STRIDE = 4096
@@ -386,10 +401,12 @@ class OccamLearner:
 
     `add` takes a new labeled point, and `next` returns the first candidate
     after the last one it returned that is consistent with every point
-    added so far, or None when the rest of the class has none. A new
-    positive sets its bit in the clause records that hold it; a new
-    negative sets their mask to -1, so no candidate with one covers. `add`
-    looks up only the records whose literals all hold the point.
+    added so far, or None when the rest of the class has none. The last
+    clause of a candidate is tested against the per-literal masks; the
+    prefix clause records are kept: a new positive sets its bit in the
+    records that hold it, and a new negative sets their mask to -1, so no
+    candidate with one covers. `add` looks up only the records whose
+    literals all hold the point.
     """
 
     def __init__(self, g: Grammar):
@@ -397,16 +414,19 @@ class OccamLearner:
         self._masks_p = [0] * len(self._lits)
         self._masks_n = [0] * len(self._lits)
         self._counts = [0, 0]  # negatives, positives
-        # the empty clause, true, holds every point. The paused stream closes
-        # over these containers, not over the learner: a cycle through a
-        # suspended generator would wait for the cyclic collector.
-        self._groups = {0: [[(), 0]]}
-        self._index = {0: {(): 0}}
+        # The paused stream closes over these containers, not over the
+        # learner: a cycle through a suspended generator would wait for the
+        # cyclic collector.
+        self._groups = {}
+        self._index = {}
         self._group = _make_group_fn(
             self._lits, self._masks_p, self._masks_n, self._groups, self._index
         )
         self._stream = _ranges(g, self._group)
         self._resume = ()  # the rest of the range of the last answer
+        # the literals that hold every positive of a set: a positive's bits
+        # never change once it is added, so the answer never goes stale
+        self._able = {}
 
     def add(self, x: Sequence[float], label: int):
         bit = 1 << self._counts[label]
@@ -426,27 +446,46 @@ class OccamLearner:
                     if rec[1] >= 0:
                         rec[1] = rec[1] | bit if label else -1
 
-    def _last_clause(self, need: int, k: int, records: list, start: int) -> Optional[int]:
-        """Place of the first live record of group(k) from `start` on that
-        holds every positive in `need`, or None."""
-        if start >= len(records):
-            return None
-        places = self._index[k]
-        lo = records[start][0]
-        masks_p = self._masks_p
-        # a combination whose first literal is below lo's comes before lo
-        able = [
-            i for i in range(lo[0] if lo else 0, len(masks_p)) if masks_p[i] & need == need
-        ]
-        for combo in itertools.combinations(able, k):
-            j = places.get(combo)
-            if j is not None and j >= start and records[j][1] >= 0:
-                return j
+    def _last_clause(self, need: int, k: int, after: Optional[tuple]) -> Optional[tuple]:
+        """The first k-literal clause after `after` (None: from the first)
+        that holds every positive in `need` and no negative, or None.
+
+        A clause's positive mask is the AND of its literals' masks, so only
+        literals whose mask contains `need` can be in it. The clauses are
+        walked as a head of k - 1 literals and a last literal after it.
+        """
+        masks_p, masks_n = self._masks_p, self._masks_n
+        full_n = (1 << self._counts[0]) - 1
+        if not k:  # the empty clause holds every point
+            return () if after is None and not full_n else None
+        able = self._able.get(need)
+        if able is None:
+            able = [i for i, mask in enumerate(masks_p) if mask & need == need]
+            self._able[need] = able
+        if after:  # a clause whose first literal is below after's comes before it
+            able = able[bisect.bisect_left(able, after[0]):]
+        floor = after[:-1] if after else None  # heads below it come before `after`
+        for head in itertools.combinations(able, k - 1):
+            lo = head[-1] if head else -1
+            if floor is not None:
+                if head < floor:
+                    continue
+                if head == floor:
+                    lo = after[-1]
+                else:
+                    floor = None
+            held = full_n
+            for i in head:
+                held &= masks_n[i]
+            for last in able[bisect.bisect_right(able, lo):]:
+                if not held & masks_n[last]:
+                    return head + (last,)
         return None
 
     def next(self, deadline: Optional[float] = None) -> Optional[Formula]:
         """Raises SynthesisDeadlineError when the scan passes the deadline."""
         full_p = (1 << self._counts[1]) - 1
+        n = len(self._lits)
         checked = 0
         clock = _DEADLINE_STRIDE
         resume, self._resume = self._resume, ()
@@ -456,18 +495,17 @@ class OccamLearner:
                     return FALSE
                 checked += 1
                 continue
-            prefix, k, start = rng
-            records = self._group(k)
+            prefix, k, after = rng
             covered = 0
             for rec in prefix:
                 covered |= rec[1]
-            j = None
+            last = None
             if covered >= 0:  # else a prefix record died since the range began
-                j = self._last_clause(full_p & ~covered, k, records, start)
-            if j is not None:
-                self._resume = ((prefix, k, j + 1),)
-                return _build_formula(self._lits, prefix + (records[j],))
-            checked += len(records) - start
+                last = self._last_clause(full_p & ~covered, k, after)
+            if last is not None:
+                self._resume = ((prefix, k, last),)
+                return _build_formula(self._lits, [rec[0] for rec in prefix] + [last])
+            checked += _combinations_after(n, k, after)
             if deadline is not None and checked >= clock:
                 clock = checked + _DEADLINE_STRIDE
                 if time.perf_counter() > deadline:
@@ -528,7 +566,7 @@ def _cell_clause(g: Grammar, sig: tuple) -> Formula:
             lits.append(Atom(f.index, ">", f.constants[lo - 1]))
         if hi < len(f.constants) and "<" in f.ops:
             lits.append(Atom(f.index, "<", f.constants[hi]))
-    return _conjunction(lits)
+    return _conjunction(sorted(lits, key=order_key))
 
 
 class GeneralLearner:
@@ -539,8 +577,8 @@ class GeneralLearner:
 
     def __init__(self, g: Grammar):
         self._g = g
-        self._clauses = {}  # order_key -> clause
-        self._keys = []  # sorted, so that Or's own sort sees sorted input
+        self._keys = []  # the clauses' order keys, sorted
+        self._clauses = []  # the clauses in the same order, which is Or's
         self._negatives = []
         self._failed = False
 
@@ -549,25 +587,26 @@ class GeneralLearner:
             return
         if not label:
             self._negatives.append(x)
-            self._failed = any(evaluate(c, x) for c in self._clauses.values())
+            self._failed = any(evaluate(c, x) for c in self._clauses)
             return
         g = self._g
         clause = _cell_clause(g, _cell_signature(g, x))
         key = order_key(clause)
-        if key in self._clauses:
+        place = bisect.bisect_left(self._keys, key)
+        if place < len(self._keys) and self._keys[place] == key:
             return
         self._failed = (
             size(clause) > g.max_literals_per_clause
             or len(self._keys) == g.max_clauses
             or any(evaluate(clause, n) for n in self._negatives)
         )
-        self._clauses[key] = clause
-        bisect.insort(self._keys, key)
+        self._keys.insert(place, key)
+        self._clauses.insert(place, clause)
 
     def next(self, deadline: Optional[float] = None) -> Optional[Formula]:
         if self._failed or not (self._keys or self._g.include_constants):
             return None
-        return _disjunction(self._clauses[k] for k in self._keys)
+        return _disjunction(self._clauses)
 
 
 def synthesize_general(sample: Sample, g: Grammar) -> Optional[Formula]:

@@ -79,6 +79,15 @@ def test_dataset_and_manifest_together_exit_one(data_dir, tmp_path, capsys):
     assert "not both" in capsys.readouterr().err
 
 
+def test_non_finite_dataset_cell_exits_one(data_dir, tmp_path, capsys):
+    lines = (data_dir / "zoo.csv").read_text().splitlines()
+    lines[1] = "nan" + lines[1][1:]
+    path = tmp_path / "zoo.csv"
+    path.write_text("\n".join(lines) + "\n")
+    assert main(zoo_args(data_dir, "--dataset", str(path))) == 1
+    assert "non-finite value 'nan' for feature 'hair'" in capsys.readouterr().err
+
+
 def test_explain_json_output(data_dir, capsys):
     code = main(zoo_args(data_dir, "--json"))
     assert code == 0
@@ -238,6 +247,23 @@ def test_bad_env_value_exits_one(data_dir, capsys, monkeypatch):
     monkeypatch.setenv("PACEXPLAIN_EPSILON", "lots")
     assert main(zoo_args(data_dir)) == 1
     assert "PACEXPLAIN_EPSILON" in capsys.readouterr().err
+
+
+def test_nan_timeout_exits_one(data_dir, capsys, monkeypatch):
+    # no deadline would ever pass a NaN timeout, so the run could not stop
+    assert main(zoo_args(data_dir, "--timeout", "nan")) == 1
+    assert "timeout must be positive" in capsys.readouterr().err
+    monkeypatch.setenv("PACEXPLAIN_TIMEOUT", "nan")
+    assert main(zoo_args(data_dir)) == 1
+    assert "timeout must be positive" in capsys.readouterr().err
+
+
+def test_accuracy_samples_must_not_be_negative(data_dir, capsys):
+    assert main(zoo_args(data_dir, "--accuracy-samples", "-1")) == 1
+    assert "accuracy_samples must be >= 0" in capsys.readouterr().err
+    # 0 means no estimate
+    assert main(zoo_args(data_dir, "--accuracy-samples", "0", "--json")) == 0
+    assert json.loads(capsys.readouterr().out)["stats"]["accuracy"] is None
 
 
 def test_bench_aggregates_over_seeds(data_dir, tmp_path, capsys):

@@ -306,6 +306,8 @@ def test_counterexample_batch_bounds_each_round(zoo_tree, zoo_grammar):
         {"target_class": "dragon"},
         {"query": FormulaQuery(parse("x0", 3), 3)},
         {"distribution": UniformBox([0.0] * 3, [1.0] * 3)},
+        {"timeout": float("nan")},
+        {"accuracy_samples": -1},
     ],
 )
 def test_config_validation(zoo_tree, zoo_grammar, overrides):
@@ -313,6 +315,18 @@ def test_config_validation(zoo_tree, zoo_grammar, overrides):
     for name, value in overrides.items():
         setattr(cfg, name, value)
     with pytest.raises(ValueError):
+        explain(cfg)
+
+
+def test_config_rejects_a_nan_timeout(zoo_tree, zoo_grammar):
+    cfg = RunConfig(
+        model=zoo_tree,
+        query=FormulaQuery(parse("true", 16), 16),
+        target_class="fish",
+        grammar=zoo_grammar,
+        timeout=float("nan"),
+    )
+    with pytest.raises(ValueError, match="timeout must be positive"):
         explain(cfg)
 
 

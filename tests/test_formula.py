@@ -33,6 +33,7 @@ from pacexplain import (
     render,
     size,
 )
+from pacexplain.formula import _canonical_node
 
 ARITY = 4
 
@@ -194,6 +195,17 @@ def test_canonical_children_are_sorted():
     # duplicates are kept, not collapsed
     g = Or((BoolAtom(0), BoolAtom(0)))
     assert len(g.children) == 2
+
+
+@given(st.sampled_from((And, Or)), st.lists(formulas, min_size=2, max_size=5))
+def test_canonical_node_equals_public_constructor(cls, kids):
+    canonical = tuple(sorted(kids, key=order_key))
+    want = cls(canonical)
+    got = _canonical_node(cls, canonical)
+    assert type(got) is cls
+    assert got == want and hash(got) == hash(want)
+    assert got.children == want.children
+    assert order_key(got) == order_key(want) and render(got) == render(want)
 
 
 def test_constructor_rejects_bad_arguments():

@@ -445,6 +445,18 @@ def test_malformed_manifest_rejected(tmp_path, name):
         load_dataset(str(path), manifest)
 
 
+@pytest.mark.parametrize("cells", [("0.1", "nan"), ("inf", "0.9"), ("-inf", "0.9"), ("0.1", "NaN")])
+def test_malformed_non_finite_cell_rejected(tmp_path, cells):
+    path = tmp_path / "d.csv"
+    path.write_text("a,b,class\n0.1,0.9,x\n0.7,0.2,y\n", encoding="utf-8")
+    manifest = load_dataset(str(path)).manifest()
+    path.write_text(f"a,b,class\n{cells[0]},{cells[1]},x\n0.7,0.2,y\n", encoding="utf-8")
+    with pytest.raises(DatasetFormatError, match="non-finite"):
+        load_dataset(str(path))
+    with pytest.raises(DatasetFormatError, match="non-finite"):
+        load_dataset(str(path), manifest)
+
+
 def test_dataset_format_errors(tmp_path):
     empty = tmp_path / "empty.csv"
     empty.write_text("", encoding="utf-8")

@@ -327,6 +327,84 @@ def test_learner_fed_round_by_round_equals_one_shot(g, strategy, rounds, rnd):
     assert learner.next() == one_shot()
 
 
+def _clauses_of(f):
+    return list(f.children) if isinstance(f, Or) else [f]
+
+
+def _later_clause_holds_no_negative(g, clause, sample):
+    """Whether some clause of the same size after `clause` holds no negative."""
+    k = size(clause)
+    clauses = [c[0] if k == 1 else And(c) for c in itertools.combinations(g.literals(), k)]
+    negatives = [x for x, label in sample if not label]
+    return any(
+        not any(evaluate(c, x) for x in negatives)
+        for c in clauses[clauses.index(clause) + 1:]
+    )
+
+
+BOOL3 = default_grammar(["bool"] * 3, max_clauses=2, max_literals_per_clause=2)
+
+
+def test_learner_boundary_ranges_equal_first_consistent_scan():
+    """Drive the learner through the edges of its last-clause search.
+
+    Over seeded random rounds on five grammars, every answer must equal the
+    first consistent candidate of the brute-force class, and each of these
+    must happen:
+    - "last combination": a refuted answer's last clause is the last clause
+      of its size, so its range has nothing left;
+    - "same size": an answer's last two clauses have the same size, so the
+      last clause had to follow the prefix's last clause;
+    - "killed prefix": a negative counterexample satisfies a clause of the
+      answer's prefix while a later last clause would still hold no
+      negative, so the paused range must notice that its prefix died.
+    """
+    seen = {"last combination": 0, "same size": 0, "killed prefix": 0}
+    rnd = random.Random(0)
+    for g in (BOOL2, BOOL3, MIXED, MIXED3, REAL3):
+        lits = g.literals()
+        brute = brute_force_class(g)  # an oracle that shares no code with the learner
+        for _ in range(150):
+            learner = OccamLearner(g)
+            sample = Sample()
+            answer = learner.next()
+            while answer is not None:
+                want = next((f for f in brute if is_consistent(f, sample)), None)
+                assert answer == want, (g, sample.entries)
+                clauses = _clauses_of(answer)
+                if len(clauses) > 1 and size(clauses[-1]) == size(clauses[-2]):
+                    seen["same size"] += 1
+                refuted = False
+                for _ in range(40):
+                    x = tuple(rnd.choice(GRID) for _ in range(3))
+                    label = int(not evaluate(answer, x))
+                    if rnd.random() < 0.3:
+                        label = rnd.choice((0, 1))
+                    try:
+                        if not sample.add(x, label):
+                            continue
+                    except InconsistentSampleError:
+                        continue
+                    learner.add(x, label)
+                    if label != evaluate(answer, x):
+                        refuted = True
+                        break
+                if not refuted:
+                    break
+                if not label and any(evaluate(c, x) for c in clauses[:-1]):
+                    seen["killed prefix"] += _later_clause_holds_no_negative(
+                        g, clauses[-1], sample
+                    )
+                k = size(clauses[-1])
+                seen["last combination"] += clauses[-1] == (
+                    lits[-1] if k == 1 else And(tuple(lits[-k:]))
+                )
+                answer = learner.next()
+            else:
+                assert not any(is_consistent(f, sample) for f in brute)
+    assert all(seen.values()), seen
+
+
 def test_synthesize_empty_sample_returns_least_candidate():
     assert synthesize(Sample(), BOOL2) is FALSE
     noconst = Grammar(
