@@ -82,6 +82,7 @@ from .synthesizer import (
     synthesize_general,
 )
 from .verifier import (
+    Draws,
     VerifierOutcome,
     estimate_query_accuracy,
     test_suite_size,

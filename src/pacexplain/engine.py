@@ -44,7 +44,7 @@ from .synthesizer import (  # noqa: F401
     synthesize,
     synthesize_general,
 )
-from .verifier import estimate_query_accuracy, test_suite_size, verify, violation_label
+from .verifier import Draws, estimate_query_accuracy, test_suite_size, verify, violation_label
 
 OUTCOME_EXPLANATION = "explanation"
 OUTCOME_NO_EXPLANATION = "no-explanation"
@@ -180,7 +180,12 @@ def explain(cfg: RunConfig) -> RunResult:
 
     # child 0 is reserved and unused; spawning three keeps recorded reports' seeds
     _, loop_seq, post_seq = np.random.SeedSequence(cfg.seed).spawn(3)
-    rng = np.random.Generator(np.random.PCG64(loop_seq))
+
+    def stream(seq: np.random.SeedSequence) -> Draws:
+        rng = np.random.Generator(np.random.PCG64(seq))
+        return Draws(dist, rng, cfg.query, cfg.model, cfg.target_class)
+
+    draws = stream(loop_seq)
     in_region = 0
 
     sample = Sample()
@@ -240,14 +245,10 @@ def explain(cfg: RunConfig) -> RunResult:
         t0 = time.perf_counter()
         result = verify(
             conjecture,
-            cfg.model,
-            cfg.query,
-            cfg.target_class,
-            dist,
+            draws,
             cfg.epsilon,
             cfg.delta,
             iteration,
-            rng,
             batch_limit=cfg.counterexample_batch,
         )
         stats.verifier_seconds += time.perf_counter() - t0
@@ -274,29 +275,22 @@ def explain(cfg: RunConfig) -> RunResult:
 
     stats.iterations = iteration
     stats.counterexample_count = len(sample)
-    draws = stats.total_test_inputs
+    drawn = stats.total_test_inputs
     certified = outcome == OUTCOME_EXPLANATION
     explanation = conjecture if outcome != OUTCOME_NO_EXPLANATION else None
     if explanation is not None:
         stats.explanation_size = size(explanation)
         if cfg.accuracy_samples > 0:
-            post_rng = np.random.Generator(np.random.PCG64(post_seq))
             accuracy, support, estimate_draws = estimate_query_accuracy(
-                explanation,
-                cfg.model,
-                cfg.query,
-                cfg.target_class,
-                dist,
-                post_rng,
-                cfg.accuracy_samples,
+                explanation, stream(post_seq), cfg.accuracy_samples
             )
             stats.accuracy = accuracy
             stats.accuracy_support = support
-            draws += estimate_draws
+            drawn += estimate_draws
             in_region += support
-    if draws and in_region < _MIN_QUERY_COVERAGE * draws:
+    if drawn and in_region < _MIN_QUERY_COVERAGE * drawn:
         warnings.warn(
-            f"query region captured {in_region}/{draws} draws;"
+            f"query region captured {in_region}/{drawn} draws;"
             " verification rarely exercised it",
             LowQueryCoverageWarning,
             stacklevel=2,

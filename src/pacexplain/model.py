@@ -4,8 +4,10 @@ Models are immutable wrappers around three JSON-described classifier kinds:
 decision trees (``x[feature] <= threshold`` goes left), small MLPs
 (relu/identity layers, argmax output with ties to the lowest class index),
 and exact-match lookup tables. The explanation engine only ever calls
-`classify_batch`, which labels the rows of a block; the base class derives
-it from `classify`, so anything exposing `classify` can be plugged in.
+`target_mask`, which says whether the model predicts a given class on each
+row of a block; the base class derives it, and `classify_batch`, which
+labels the rows, from `classify`, so anything exposing `classify` can be
+plugged in.
 
 Datasets come from RFC-4180 CSV files with a header row of distinct
 feature names; the last column is the class. Features are min-max
@@ -55,6 +57,10 @@ class Model:
         self._check_block(X)
         return _object_array([self.classify(x) for x in X.tolist()])
 
+    def target_mask(self, X: np.ndarray, target_class) -> np.ndarray:
+        """Whether the model predicts target_class on each row of X."""
+        return self.classify_batch(X) == target_class
+
     def to_json(self) -> dict:
         raise NotImplementedError
 
@@ -80,7 +86,8 @@ class DecisionTreeModel(Model):
         self.classes = tuple(classes)
         self.root = root
         _validate_tree_node(root, self.arity, set(self.classes))
-        self._flat = None  # built by the first classify_batch
+        self._flat = None  # built by the first block call
+        self._is_target = {}  # target class -> whether each node's label is it
 
     def classify(self, x: Sequence[float]):
         self._check_arity(x)
@@ -89,21 +96,29 @@ class DecisionTreeModel(Model):
             node = node["le"] if x[node["feature"]] <= node["threshold"] else node["gt"]
         return node["leaf"]
 
-    def classify_batch(self, X: np.ndarray) -> np.ndarray:
+    def _leaves(self, X: np.ndarray) -> np.ndarray:
+        """The leaf each row of X reaches."""
         self._check_block(X)
         if self._flat is None:
             self._flat = _flatten_tree(self.root)
-        feature, threshold, le, gt, labels = self._flat
-        node = np.zeros(len(X), dtype=np.intp)
+        feature, threshold, le, gt, _, depth = self._flat
         rows = np.arange(len(X))
-        # one level per pass: rows still at a split move to a child
-        while rows.size:
-            at = node[rows]
-            split = feature[at] >= 0
-            rows, at = rows[split], at[split]
-            go_le = X[rows, feature[at]] <= threshold[at]
-            node[rows] = np.where(go_le, le[at], gt[at])
-        return labels[node]
+        node = np.zeros(len(X), dtype=np.intp)
+        # every row takes `depth` steps; one that reached its leaf stays there
+        for _ in range(depth):
+            node = np.where(X[rows, feature[node]] <= threshold[node], le[node], gt[node])
+        return node
+
+    def classify_batch(self, X: np.ndarray) -> np.ndarray:
+        leaves = self._leaves(X)  # builds the flat tree first
+        return self._flat[4][leaves]
+
+    def target_mask(self, X: np.ndarray, target_class) -> np.ndarray:
+        leaves = self._leaves(X)
+        is_target = self._is_target.get(target_class)
+        if is_target is None:
+            is_target = self._is_target[target_class] = self._flat[4] == target_class
+        return is_target[leaves]
 
     def to_json(self) -> dict:
         return {
@@ -134,16 +149,19 @@ class DecisionTreeModel(Model):
 
 
 def _flatten_tree(root: dict) -> tuple:
-    """Node arrays in breadth-first order: feature (-1 at a leaf), threshold,
-    le and gt child indices, and each node's label (used at leaves)."""
+    """Node arrays in breadth-first order: feature, threshold, le and gt
+    child indices, and each node's label (None at a split); then the depth.
+    A leaf tests feature 0 and is both its own children, so it keeps the
+    rows that reach it."""
     nodes = [root]
+    level = [0]
     feature, threshold, le, gt, labels = [], [], [], [], []
-    for node in nodes:
+    for k, node in enumerate(nodes):
         if "leaf" in node:
-            feature.append(-1)
+            feature.append(0)
             threshold.append(0.0)
-            le.append(0)
-            gt.append(0)
+            le.append(k)
+            gt.append(k)
             labels.append(node["leaf"])
         else:
             feature.append(node["feature"])
@@ -152,12 +170,14 @@ def _flatten_tree(root: dict) -> tuple:
             gt.append(len(nodes) + 1)
             labels.append(None)
             nodes += [node["le"], node["gt"]]
+            level += [level[k] + 1] * 2
     return (
         np.asarray(feature, dtype=np.intp),
         np.asarray(threshold),
         np.asarray(le, dtype=np.intp),
         np.asarray(gt, dtype=np.intp),
         _object_array(labels),
+        max(level),
     )
 
 
@@ -218,7 +238,8 @@ class MlpModel(Model):
         self._check_arity(x)
         return self.classify_batch(np.asarray([x], dtype=float))[0]
 
-    def classify_batch(self, X: np.ndarray) -> np.ndarray:
+    def _outputs(self, X: np.ndarray) -> np.ndarray:
+        """Each row's class index: the argmax of the last layer."""
         self._check_block(X)
         v = X
         for w, b, act in self.layers:
@@ -230,7 +251,13 @@ class MlpModel(Model):
                 out += v[:, k : k + 1] * w[:, k]
             v = np.maximum(out, 0.0) if act == "relu" else out
         # ties go to the lowest class index; np.argmax already does that
-        return self._labels[np.argmax(v, axis=1)]
+        return np.argmax(v, axis=1)
+
+    def classify_batch(self, X: np.ndarray) -> np.ndarray:
+        return self._labels[self._outputs(X)]
+
+    def target_mask(self, X: np.ndarray, target_class) -> np.ndarray:
+        return (self._labels == target_class)[self._outputs(X)]
 
     def to_json(self) -> dict:
         return {
@@ -359,7 +386,8 @@ def load_manifest(path: str) -> dict:
 def _check_manifest(manifest, source: str):
     """Raise DatasetFormatError unless `manifest` names distinct features,
     gives each one a kind, "bool" or "real", and a [lo, hi] bound, and maps
-    categorical features to numeric codes."""
+    categorical features to numeric codes. Bounds and codes must be finite:
+    JSON readers take NaN and Infinity."""
     if not isinstance(manifest, dict):
         raise DatasetFormatError(f"{source}: manifest must be a JSON object")
     names = manifest.get("featureNames")
@@ -378,21 +406,30 @@ def _check_manifest(manifest, source: str):
     if not isinstance(bounds, list) or len(bounds) != len(names) or not all(
         isinstance(b, (list, tuple))
         and len(b) == 2
-        and all(isinstance(v, (int, float)) for v in b)
+        and all(_finite_number(v) for v in b)
         for b in bounds
     ):
-        raise DatasetFormatError(f"{source}: manifest needs one [lo, hi] bound per feature")
+        raise DatasetFormatError(
+            f"{source}: manifest needs one finite [lo, hi] bound per feature"
+        )
     categorical = manifest.get("categorical", {})
     if not isinstance(categorical, dict) or not all(
         name in names
         and isinstance(codes, dict)
-        and all(isinstance(code, (int, float)) for code in codes.values())
+        and all(_finite_number(code) for code in codes.values())
         for name, codes in categorical.items()
     ):
         raise DatasetFormatError(
             f"{source}: manifest categorical must map feature names to"
-            " {category: numeric code} objects"
+            " {category: finite numeric code} objects"
         )
+
+
+def _finite_number(v) -> bool:
+    try:
+        return isinstance(v, (int, float)) and math.isfinite(v)
+    except OverflowError:  # an int past the float range
+        return False
 
 
 def load_dataset(path: str, manifest: Optional[dict] = None) -> Dataset:
@@ -509,7 +546,7 @@ def accuracy_on(classifier, data: Dataset, query: Optional[Query], target_class)
     if isinstance(classifier, Formula):
         predicts = evaluate_mask(classifier, X)
     elif isinstance(classifier, Model):
-        predicts = classifier.classify_batch(X) == target_class
+        predicts = classifier.target_mask(X, target_class)
     else:
         raise TypeError("classifier must be a Formula or a Model")
     inside = query.contains_mask(X)

@@ -52,7 +52,10 @@ import time
 from dataclasses import dataclass
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from .formula import (
+    _MASK_OPS,
     FALSE,
     TRUE,
     And,
@@ -396,6 +399,34 @@ def _build_formula(lits, combos) -> Formula:
 _DEADLINE_STRIDE = 4096
 
 
+# the compare of each literal op; `xj` is `xj = 1` and `(not xj)` is `xj != 1`
+_LITERAL_COMPARE = {**_MASK_OPS, "!=": np.not_equal}
+
+
+def _literal_tests(lits: Sequence[Formula]) -> list:
+    """(compare, literal indices, features, constants) for each op, so that
+    one numpy compare tests a point against all the literals of the op."""
+    groups = {}
+    for i, lit in enumerate(lits):
+        if isinstance(lit, Atom):
+            op, j, c = lit.op, lit.feature, lit.constant
+        elif isinstance(lit, BoolAtom):
+            op, j, c = "=", lit.feature, 1.0
+        else:  # the negation of a BoolAtom
+            op, j, c = "!=", lit.child.feature, 1.0
+        groups.setdefault(op, []).append((i, j, c))
+    tests = []
+    for op, members in groups.items():
+        idx, features, constants = zip(*members)
+        tests.append((
+            _LITERAL_COMPARE[op],
+            np.array(idx, dtype=np.intp),
+            np.array(features, dtype=np.intp),
+            np.array(constants, dtype=float),
+        ))
+    return tests
+
+
 class OccamLearner:
     """One scan of the candidates, paused between `next` calls.
 
@@ -411,6 +442,8 @@ class OccamLearner:
 
     def __init__(self, g: Grammar):
         self._lits = g.literals()
+        self._tests = _literal_tests(self._lits)
+        self._held = np.zeros(len(self._lits), dtype=bool)  # scratch for `add`
         self._masks_p = [0] * len(self._lits)
         self._masks_n = [0] * len(self._lits)
         self._counts = [0, 0]  # negatives, positives
@@ -432,11 +465,13 @@ class OccamLearner:
         bit = 1 << self._counts[label]
         self._counts[label] += 1
         masks = self._masks_p if label else self._masks_n
-        held = []
-        for i, lit in enumerate(self._lits):
-            if evaluate(lit, x):
-                masks[i] |= bit
-                held.append(i)
+        v = np.asarray(x, dtype=float)
+        hold = self._held
+        for compare, idx, features, constants in self._tests:
+            hold[idx] = compare(v[features], constants)
+        held = np.flatnonzero(hold).tolist()
+        for i in held:
+            masks[i] |= bit
         for k, records in self._groups.items():
             places = self._index[k]
             for combo in itertools.combinations(held, k):

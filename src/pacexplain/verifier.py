@@ -12,11 +12,15 @@ The iteration-indexed suite sizes make the probability that any wrong
 candidate ever slips through at most delta in total (the per-iteration
 failure chances are at most delta/2^i).
 
-`verify` and `estimate_query_accuracy` work in blocks: draw a chunk of
-points, test it with the query's, formula's and model's masks, count. Each
-leaves the generator exactly where drawing its points one at a time would
-have: when it stops inside a chunk, it restores the state saved at its
-start and skips the draws it used, so the next caller sees the same stream.
+Each run's points come from one buffered stream of draws, `Draws`, built
+over the run's distribution, generator, query region, model and target
+class. The stream draws its points in blocks, tests each block against
+the query region once and classifies its in-region rows once, since
+neither depends on the candidate. A suite takes the next pending draws,
+evaluates only the candidate's mask on them, and consumes exactly the
+draws it used; the draws it left wait for the next suite. The points each
+suite and the accuracy estimate see are therefore those of drawing them
+one at a time, and nothing is ever drawn twice or rewound.
 """
 
 from __future__ import annotations
@@ -80,61 +84,85 @@ def violation_label(
     return 0 if satisfied else 1
 
 
-def _verdicts(f: Formula, model: Model, target_class, X: np.ndarray, rows: np.ndarray):
-    """Masks over X[rows]: f's verdict, and where it disagrees with the model."""
-    if len(rows) < len(X):
-        X = X[rows]
-    satisfied = evaluate_mask(f, X)
-    return satisfied, satisfied != (model.classify_batch(X) == target_class)
+class Draws:
+    """A run's stream of i.i.d. draws, each region-tested and classified once.
 
+    `take(limit)` hands out up to `limit` pending draws: what is left of
+    the current block, or else a fresh block of `limit` draws. `consume(k)`
+    marks the first k of them used; `take` hands out the rest again. A
+    leftover is always a piece of its own block, never joined to a fresh
+    one, so the working set stays one block.
+    """
 
-def _rewind(rng: np.random.Generator, state: dict, distribution, draws: int):
-    rng.bit_generator.state = state
-    distribution.skip(rng, draws)
+    def __init__(
+        self, distribution, rng: np.random.Generator, query: Query, model: Model, target_class
+    ):
+        self.distribution = distribution
+        self.rng = rng
+        self.query = query
+        self.model = model
+        self.target_class = target_class
+        self._block = None  # X, in-region row indices, those rows, model verdicts
+        self._used = 0  # draws of the block consumed so far
+
+    def take(self, limit: int) -> tuple:
+        """(X, rows, inside, target): up to `limit` draws as the rows of X,
+        the indices of those in the query region, those rows, and whether
+        the model predicts the target class on each of them."""
+        block = self._block
+        if block is None or self._used == len(block[0]):
+            X = self.distribution.sample_block(self.rng, limit)
+            rows = np.flatnonzero(self.query.contains_mask(X))
+            inside = X if len(rows) == len(X) else X[rows]
+            self._block = (X, rows, inside, self.model.target_mask(inside, self.target_class))
+            self._used = 0
+            return self._block
+        X, rows, inside, target = block
+        lo = self._used
+        hi = min(lo + limit, len(X))
+        a, b = np.searchsorted(rows, (lo, hi))
+        return X[lo:hi], rows[a:b] - lo, inside[a:b], target[a:b]
+
+    def consume(self, k: int):
+        self._used += k
 
 
 def verify(
     f: Formula,
-    model: Model,
-    query: Query,
-    target_class,
-    distribution,
+    draws: Draws,
     epsilon: float,
     delta: float,
     iteration: int,
-    rng: np.random.Generator,
     batch_limit: int = 1,
 ) -> VerifierOutcome:
     """Test f on a fresh suite; fail with up to batch_limit counterexamples.
 
-    Draws are consumed in order from `rng`, so a fixed generator state yields
-    a fixed outcome. The suite is cut short once batch_limit distinct
-    violations have been collected; a repeated one is skipped but its draw
-    still counts. A pass always consumes the full suite; a cut leaves `rng`
-    just after the draw that completed the batch.
+    The suite is the next draws of `draws`, so a fixed generator state
+    yields a fixed outcome. The suite is cut short once batch_limit
+    distinct violations have been collected; a repeated one is skipped but
+    its draw still counts. A pass consumes the full suite; a cut consumes
+    the draws up to the one that completed the batch.
     """
     if batch_limit < 1:
         raise ValueError("batch_limit must be >= 1")
     n = test_suite_size(epsilon, delta, iteration)
-    start = rng.bit_generator.state
     counterexamples = {}  # point -> label, in draw order
     tested = 0
     in_region = 0
     chunk = _VERIFY_FIRST_CHUNK
     while tested < n and len(counterexamples) < batch_limit:
-        X = distribution.sample_block(rng, min(chunk, n - tested))
-        rows = np.flatnonzero(query.contains_mask(X))
-        satisfied, wrong = _verdicts(f, model, target_class, X, rows)
+        X, rows, inside, target = draws.take(min(chunk, n - tested))
+        satisfied = evaluate_mask(f, inside)
         used, hits = len(X), len(rows)
-        for i in np.flatnonzero(wrong).tolist():
-            x = distribution.point(X[rows[i]])
+        for i in np.flatnonzero(satisfied != target).tolist():
+            x = draws.distribution.point(inside[i])
             if x in counterexamples:
                 continue
             counterexamples[x] = 0 if satisfied[i] else 1
             if len(counterexamples) == batch_limit:
                 used, hits = int(rows[i]) + 1, i + 1
-                _rewind(rng, start, distribution, tested + used)
                 break
+        draws.consume(used)
         tested += used
         in_region += hits
         chunk = min(2 * chunk, _VERIFY_MAX_CHUNK)
@@ -149,18 +177,14 @@ def verify(
 
 def estimate_query_accuracy(
     f: Formula,
-    model: Model,
-    query: Query,
-    target_class,
-    distribution,
-    rng: np.random.Generator,
+    draws: Draws,
     n_target: int,
     max_draws: Optional[int] = None,
 ) -> Tuple[Optional[float], int, int]:
     """Agreement of f with the model on draws inside the query region.
 
-    Draws until n_target in-region points were seen (or max_draws total),
-    leaving `rng` just after the last of them; returns (accuracy,
+    Takes draws until n_target in-region points were seen (or max_draws
+    total), consuming them up to the last of those; returns (accuracy,
     in_region_count, draws), accuracy None when nothing landed inside the
     region.
     """
@@ -168,21 +192,17 @@ def estimate_query_accuracy(
         raise ValueError("n_target must be >= 1")
     if max_draws is None:
         max_draws = 50 * n_target
-    start = rng.bit_generator.state
     hits = 0
     agree = 0
-    draws = 0
-    while draws < max_draws and hits < n_target:
-        X = distribution.sample_block(rng, min(_ESTIMATE_CHUNK, max_draws - draws))
-        rows = np.flatnonzero(query.contains_mask(X))[: n_target - hits]
-        used = len(X)
-        if hits + len(rows) == n_target:
-            used = int(rows[-1]) + 1
-            _rewind(rng, start, distribution, draws + used)
-        _, wrong = _verdicts(f, model, target_class, X, rows)
-        agree += len(rows) - int(np.count_nonzero(wrong))
-        hits += len(rows)
-        draws += used
+    taken = 0
+    while taken < max_draws and hits < n_target:
+        X, rows, inside, target = draws.take(min(_ESTIMATE_CHUNK, max_draws - taken))
+        k = min(len(rows), n_target - hits)
+        used = len(X) if hits + k < n_target else int(rows[k - 1]) + 1
+        agree += int(np.count_nonzero(evaluate_mask(f, inside[:k]) == target[:k]))
+        draws.consume(used)
+        hits += k
+        taken += used
     if hits == 0:
-        return None, 0, draws
-    return agree / hits, hits, draws
+        return None, 0, taken
+    return agree / hits, hits, taken

@@ -5,6 +5,7 @@ the installed console script.
 """
 
 import json
+import math
 import shutil
 import subprocess
 
@@ -49,7 +50,11 @@ def test_explain_summary_with_manifest_names(data_dir, tmp_path, capsys):
     {"kinds": None},
     {"bounds": [[0.0, 1.0]] * 3},
     {"featureNames": ["a", "a", "b", "c"]},
-], ids=["short-kinds", "no-kinds", "short-bounds", "duplicate-names"])
+    {"bounds": [[math.nan, 1.0]] + [[0.0, 1.0]] * 3},
+    {"bounds": [[0.0, 1.0]] * 3 + [[0.0, math.inf]]},
+    {"categorical": {"petal_width": {"u": math.nan}}},
+], ids=["short-kinds", "no-kinds", "short-bounds", "duplicate-names", "nan-bound",
+        "infinite-bound", "nan-code"])
 def test_malformed_manifest_exits_one(data_dir, tmp_path, capsys, change):
     manifest = load_dataset(str(data_dir / "iris.csv")).manifest()
     manifest.update(change)

@@ -388,15 +388,16 @@ def test_derived_distribution_mirrors_grammar_kinds(
 def test_runs_share_one_default_distribution(zoo_tree, zoo_grammar, monkeypatch):
     used = []
 
-    def spy(*args, **kwargs):
-        used.append(args[4])
-        return verify(*args, **kwargs)
+    def spy(distribution, *args):
+        used.append(distribution)
+        return draws(distribution, *args)
 
-    verify = engine.verify
-    monkeypatch.setattr(engine, "verify", spy)
+    draws = engine.Draws
+    monkeypatch.setattr(engine, "Draws", spy)
     explain(zoo_config(zoo_tree, zoo_grammar, seed=7))
     explain(zoo_config(zoo_tree, zoo_grammar, "x3", seed=8))
-    assert len(used) > 2 and all(dist is used[0] for dist in used)
+    # a loop stream and an estimate stream per run
+    assert len(used) == 4 and all(dist is used[0] for dist in used)
 
 
 @pytest.mark.parametrize("query_text", ["true", "x3"])

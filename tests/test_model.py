@@ -8,6 +8,7 @@ recomputed with plain Python loops instead of numpy.
 
 import itertools
 import json
+import math
 
 import numpy as np
 import pytest
@@ -100,6 +101,30 @@ def test_tree_classify_batch_matches_classify(root, xs):
     assert labels.tolist() == [model.classify(x) for x in xs]
 
 
+def assert_target_masks_match_classify(model, xs):
+    X = _block(xs, model.arity)
+    for target in model.classes:
+        mask = model.target_mask(X, target)
+        assert mask.dtype == bool
+        assert mask.tolist() == [model.classify(x) == target for x in xs]
+
+
+# NaN coordinates fail every `<=`, as they do in the scalar descent
+points3_nan = st.lists(
+    st.floats(0, 1, allow_nan=False) | st.just(math.nan), min_size=3, max_size=3
+)
+
+
+@given(tree_strategy(depth=4), st.lists(points3_nan, max_size=12))
+def test_tree_target_mask_matches_classify(root, xs):
+    model = DecisionTreeModel(3, ("a", "b"), root)
+    on = sorted(_thresholds(root))
+    xs = xs + [[t, t, t] for t in on] + [[t, math.nan, 1 - t] for t in on]
+    # a leaf tests x0 <= 0 and must keep the row either way
+    xs += [[0.0, 0.0, 0.0], [math.nan] * 3]
+    assert_target_masks_match_classify(model, xs)
+
+
 @given(tree_strategy(), points3)
 def test_tree_positive_paths_form_equivalent_dnf(root, x):
     model = DecisionTreeModel(3, ("a", "b"), root)
@@ -182,6 +207,15 @@ def test_mlp_classify_batch_matches_classify_and_oracle(model, xs):
         assert label == model.classes[best]
 
 
+@given(
+    st.one_of(mlp_strategy(), mlp_strategy(classes=("p", "q", "p"))),
+    st.lists(points3_nan, max_size=12),
+)
+def test_mlp_target_mask_matches_classify(model, xs):
+    # a class named twice is the target at both of its outputs
+    assert_target_masks_match_classify(model, xs + [[0.0, 0.0, 0.0]])
+
+
 @given(mlp_strategy(), points3, st.floats(-5, 5, allow_nan=False))
 def test_mlp_logit_shift_invariance(model, x, shift):
     spec = model.to_json()
@@ -246,6 +280,21 @@ def test_table_classify_batch_matches_classify():
     assert labels.tolist() == [model.classify(x) for x in xs] == ["yes", "no", "no", "yes"]
     with pytest.raises(ValueError):
         model.classify_batch(_block(xs, 2)[:, :1])
+
+
+table_points = st.lists(st.sampled_from((0.0, 0.5, 1.0, math.nan)), min_size=2, max_size=2)
+
+
+@given(st.lists(table_points, max_size=8))
+def test_table_target_mask_matches_classify(xs):
+    model = TableModel(
+        2,
+        ("no", "yes", "maybe"),
+        [{"x": [0, 1], "class": "yes"}, {"x": [1, 1], "class": "no"},
+         {"x": [0.5, 0], "class": "maybe"}],
+        "no",
+    )
+    assert_target_masks_match_classify(model, xs + [[0.0, 1.0], [1.0, 1.0], [0.5, 0.0]])
 
 
 def test_table_model_validation_errors():
@@ -429,6 +478,12 @@ MALFORMED_MANIFESTS = {
     "categorical-codes-not-an-object": _set("categorical", {"b": 5}),
     "categorical-unknown-feature": _set("categorical", {"c": {"u": 0}}),
     "categorical-text-code": _set("categorical", {"b": {"u": "0"}}),
+    # JSON readers take NaN and Infinity
+    "nan-bound": _set("bounds", [[math.nan, 1.0], [0.0, 1.0]]),
+    "infinite-bound": _set("bounds", [[0.0, 1.0], [0.0, math.inf]]),
+    "bound-past-float-range": _set("bounds", [[0.0, 1.0], [0, 10**400]]),
+    "categorical-nan-code": _set("categorical", {"b": {"u": math.nan}}),
+    "categorical-infinite-code": _set("categorical", {"b": {"u": -math.inf}}),
 }
 
 

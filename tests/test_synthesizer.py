@@ -9,11 +9,12 @@ no code with the lazy level-by-level recursion it checks.
 import functools
 import itertools
 import json
+import math
 import random
 import time
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from pacexplain import (
@@ -231,6 +232,11 @@ def _first_consistent(g, sample):
     return next((f for f in _stream(g) if is_consistent(f, sample)), None)
 
 
+@functools.lru_cache(maxsize=None)
+def _brute_force_stream(g):
+    return brute_force_class(g)
+
+
 @ENUMERATED
 @given(sample_points, sample_points, st.randoms(use_true_random=False))
 @settings(max_examples=60, deadline=None)
@@ -280,29 +286,43 @@ REAL3 = Grammar(
     max_clauses=3,
     max_literals_per_clause=3,
 )
+# twelve literals that each hold one grid value in four: after a negative
+# kills a two-clause answer's first clause, a later clause often holds no
+# negative, so a scan that resumed the dead range would return it
+NARROW = Grammar(
+    tuple(GrammarFeature(j, "real", (0.25, 0.75), ("<", ">")) for j in range(3)),
+    max_clauses=2,
+    max_literals_per_clause=2,
+)
 
 
 @pytest.mark.parametrize(
     "g",
-    [BOOL2, REAL1, MIXED, MIXED3, NOCONST, REAL3],
-    ids=["bool2", "real1", "mixed", "mixed3", "noconst", "real3"],
+    [BOOL2, REAL1, MIXED, MIXED3, NOCONST, REAL3, NARROW],
+    ids=["bool2", "real1", "mixed", "mixed3", "noconst", "real3", "narrow"],
 )
 @pytest.mark.parametrize("strategy", ["occam", "general"])
-@given(st.lists(sample_points, min_size=1, max_size=4), st.randoms(use_true_random=False))
-@settings(max_examples=40, deadline=None)
-def test_learner_fed_round_by_round_equals_one_shot(g, strategy, rounds, rnd):
+@given(st.lists(sample_points, min_size=1, max_size=6), st.integers(0, 2**32 - 1))
+# on NARROW, a negative kills the answer's first clause in the third round
+@example(
+    rounds=[[(1.0, 0.6, 0.0), (0.3, 0.0, 0.3)], [(1.0, 0.6, 0.6)], [(0.6, 0.3, 0.3)]],
+    label_seed=0,
+)
+@settings(max_examples=60, deadline=None)
+def test_learner_fed_round_by_round_equals_one_shot(g, strategy, rounds, label_seed):
     """Each answer equals the one-shot learner on the sample accumulated so far.
 
     The occam learner gets counterexamples to its last answer in every round
     (its first point, at least, is one); the general learner gets any points.
     """
+    rnd = random.Random(label_seed)
     occam = strategy == "occam"
     learner = OccamLearner(g) if occam else GeneralLearner(g)
     sample = Sample()
 
     def one_shot():
-        if occam:
-            return _first_consistent(g, sample)
+        if occam:  # from an oracle that shares no code with the learner
+            return next((f for f in _brute_force_stream(g) if is_consistent(f, sample)), None)
         # the cover does not depend on the order of the points
         want = synthesize_general(sample, g)
         assert synthesize_general(Sample(reversed(sample.entries)), g) == want
@@ -325,6 +345,38 @@ def test_learner_fed_round_by_round_equals_one_shot(g, strategy, rounds, rnd):
         if occam and is_consistent(answer, sample):
             return  # no counterexample landed: the next answer comes after this one
     assert learner.next() == one_shot()
+
+
+# both grammar ops and both kinds of feature; the points sit on the
+# constants, between them and past them
+ALL_OPS = Grammar(
+    (
+        GrammarFeature(0, "bool"),
+        GrammarFeature(1, "real", (0.25, 0.5, 1.0), ("<", ">")),
+        GrammarFeature(2, "bool"),
+        GrammarFeature(3, "real", (0.0, 0.5), (">",)),
+    ),
+    max_clauses=2,
+    max_literals_per_clause=2,
+)
+ON_CONSTANTS = st.sampled_from((0.0, -0.0, 0.25, 0.5, 0.75, 1.0, 2.0, math.inf, math.nan))
+
+
+@given(st.lists(st.tuples(*[ON_CONSTANTS] * 4), min_size=1, max_size=8))
+@settings(max_examples=60, deadline=None)
+def test_add_tests_each_literal_as_evaluate_does(points):
+    learner = OccamLearner(ALL_OPS)
+    for k, x in enumerate(points):
+        learner.add(x, k % 2)
+    for i, lit in enumerate(ALL_OPS.literals()):
+        for label, masks in ((0, learner._masks_n), (1, learner._masks_p)):
+            # the k-th point has label k % 2 and is bit k // 2 of its label's masks
+            want = sum(
+                1 << (k // 2)
+                for k, x in enumerate(points)
+                if k % 2 == label and evaluate(lit, x)
+            )
+            assert masks[i] == want, (render(lit), label)
 
 
 def _clauses_of(f):

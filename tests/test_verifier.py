@@ -12,6 +12,7 @@ from pacexplain import (
     TRUE,
     CosineBall,
     DecisionTreeModel,
+    Draws,
     Empirical,
     FormulaQuery,
     TrueQuery,
@@ -29,6 +30,10 @@ from pacexplain import (
 
 def rng(seed=0):
     return np.random.Generator(np.random.PCG64(seed))
+
+
+def stream(model, query, target, dist, seed):
+    return Draws(dist, rng(seed), query, model, target)
 
 
 BOOL16 = default_distribution(["bool"] * 16)
@@ -82,8 +87,8 @@ def test_violation_label_rule(zoo_tree):
 def test_verify_pass_consumes_full_suite(zoo_tree):
     f = parse("(and x11 (not x9))", 16)
     out = verify(
-        f, zoo_tree, TrueQuery(16), "fish", BOOL16,
-        0.05, 0.05, 3, rng(1),
+        f, stream(zoo_tree, TrueQuery(16), "fish", BOOL16, 1),
+        0.05, 0.05, 3,
     )
     assert out.passed
     assert out.counterexamples == ()
@@ -95,8 +100,8 @@ def test_verify_pass_consumes_full_suite(zoo_tree):
 
 def test_verify_short_circuits_on_first_violation(zoo_tree):
     out = verify(
-        TRUE, zoo_tree, TrueQuery(16), "fish", BOOL16,
-        0.05, 0.05, 1, rng(2),
+        TRUE, stream(zoo_tree, TrueQuery(16), "fish", BOOL16, 2),
+        0.05, 0.05, 1,
     )
     assert not out.passed
     assert len(out.counterexamples) == 1
@@ -109,33 +114,33 @@ def test_verify_short_circuits_on_first_violation(zoo_tree):
 
 def test_verify_batch_limit(zoo_tree):
     out = verify(
-        TRUE, zoo_tree, TrueQuery(16), "fish", BOOL16,
-        0.05, 0.05, 1, rng(2), batch_limit=5,
+        TRUE, stream(zoo_tree, TrueQuery(16), "fish", BOOL16, 2),
+        0.05, 0.05, 1, batch_limit=5,
     )
     assert not out.passed
     assert len(out.counterexamples) == 5
     with pytest.raises(ValueError):
         verify(
-            TRUE, zoo_tree, TrueQuery(16), "fish", BOOL16,
-            0.05, 0.05, 1, rng(2), batch_limit=0,
+            TRUE, stream(zoo_tree, TrueQuery(16), "fish", BOOL16, 2),
+            0.05, 0.05, 1, batch_limit=0,
         )
 
 
 def test_verify_deterministic_under_seed(zoo_tree):
-    args = (TRUE, zoo_tree, TrueQuery(16), "fish", BOOL16, 0.05, 0.05, 2)
-    a = verify(*args, rng(7), batch_limit=3)
-    b = verify(*args, rng(7), batch_limit=3)
-    assert a == b
-    c = verify(*args, rng(8), batch_limit=3)
-    assert a != c
+    def run(seed):
+        draws = stream(zoo_tree, TrueQuery(16), "fish", BOOL16, seed)
+        return verify(TRUE, draws, 0.05, 0.05, 2, batch_limit=3)
+
+    assert run(7) == run(7)
+    assert run(7) != run(8)
 
 
 def test_verify_respects_query_region(zoo_tree):
     # inside (not x11) the tree never answers fish, so FALSE is perfect
     region = FormulaQuery(parse("(not x11)", 16), 16)
     out = verify(
-        FALSE, zoo_tree, region, "fish", BOOL16,
-        0.05, 0.05, 1, rng(3),
+        FALSE, stream(zoo_tree, region, "fish", BOOL16, 3),
+        0.05, 0.05, 1,
     )
     assert out.passed
     # about half the draws have fins
@@ -151,8 +156,8 @@ def test_verify_collects_distinct_counterexamples():
         "le": {"leaf": "no"}, "gt": {"leaf": "yes"},
     })
     out = verify(
-        FALSE, tree, TrueQuery(3), "yes", default_distribution(["bool"] * 3),
-        0.05, 0.05, 1, rng(4), batch_limit=5,
+        FALSE, stream(tree, TrueQuery(3), "yes", default_distribution(["bool"] * 3), 4),
+        0.05, 0.05, 1, batch_limit=5,
     )
     points = [x for x, _ in out.counterexamples]
     # x0 set on 4 of the 8 points: all of them fail, none twice
@@ -167,31 +172,31 @@ def test_estimate_true_error_const_true(zoo_tree):
     # fish needs fins and not breathes: exactly 1/4 of the uniform boolean
     # cube, so claiming fish everywhere is wrong on 3/4 of it
     acc, _, _ = estimate_query_accuracy(
-        TRUE, zoo_tree, TrueQuery(16), "fish", BOOL16, rng(5), 100000
+        TRUE, stream(zoo_tree, TrueQuery(16), "fish", BOOL16, 5), 100000
     )
     assert math.isclose(1.0 - acc, 0.75, abs_tol=0.01)
     perfect = parse("(and x11 (not x9))", 16)
     acc, _, _ = estimate_query_accuracy(
-        perfect, zoo_tree, TrueQuery(16), "fish", BOOL16, rng(5), 2000
+        perfect, stream(zoo_tree, TrueQuery(16), "fish", BOOL16, 5), 2000
     )
     assert 1.0 - acc == 0.0
     with pytest.raises(ValueError):
         estimate_query_accuracy(
-            TRUE, zoo_tree, TrueQuery(16), "fish", BOOL16, rng(5), 0
+            TRUE, stream(zoo_tree, TrueQuery(16), "fish", BOOL16, 5), 0
         )
 
 
 def test_estimate_query_accuracy(zoo_tree):
     f = parse("(and x11 (not x9))", 16)
     acc, hits, draws = estimate_query_accuracy(
-        f, zoo_tree, TrueQuery(16), "fish", BOOL16, rng(6), 500
+        f, stream(zoo_tree, TrueQuery(16), "fish", BOOL16, 6), 500
     )
     assert acc == 1.0
     assert hits == 500
     assert draws == 500
     # an always-false region yields an undefined accuracy
     acc, hits, draws = estimate_query_accuracy(
-        f, zoo_tree, FormulaQuery(FALSE, 16), "fish", BOOL16, rng(6), 100
+        f, stream(zoo_tree, FormulaQuery(FALSE, 16), "fish", BOOL16, 6), 100
     )
     assert acc is None
     assert hits == 0
@@ -199,21 +204,20 @@ def test_estimate_query_accuracy(zoo_tree):
     # narrow regions stop at max_draws, not at the target
     narrow = FormulaQuery(parse("(and x0 (and x1 (and x2 x3)))", 16), 16)
     acc, hits, draws = estimate_query_accuracy(
-        f, zoo_tree, narrow, "fish", BOOL16, rng(6), 1000, max_draws=2000
+        f, stream(zoo_tree, narrow, "fish", BOOL16, 6), 1000, max_draws=2000
     )
     assert hits < 1000
     assert draws == 2000
     with pytest.raises(ValueError):
         estimate_query_accuracy(
-            f, zoo_tree, TrueQuery(16), "fish", BOOL16, rng(6), 0
+            f, stream(zoo_tree, TrueQuery(16), "fish", BOOL16, 6), 0
         )
 
 
 def test_estimate_accuracy_of_wrong_formula(zoo_tree):
     # x11 alone over-claims breathers with fins (1/4 of the cube)
     acc, hits, draws = estimate_query_accuracy(
-        parse("x11", 16), zoo_tree, TrueQuery(16), "fish", BOOL16,
-        rng(9), 20000,
+        parse("x11", 16), stream(zoo_tree, TrueQuery(16), "fish", BOOL16, 9), 20000
     )
     assert hits == draws == 20000
     assert math.isclose(acc, 0.75, abs_tol=0.02)
@@ -292,12 +296,15 @@ def test_verify_matches_scalar_loop_and_stream(
     zoo_tree, iris_mlp, data_dir, case, batch_limit, seed, iteration
 ):
     f, model, query, target, dist = _cases(zoo_tree, iris_mlp, data_dir)[case]
-    a, b = rng(seed), rng(seed)
-    args = (f, model, query, target, dist, 0.01, 0.05, iteration)
-    got = verify(*args, a, batch_limit=batch_limit)
-    assert got == scalar_verify(*args, b, batch_limit)
+    draws, b = Draws(dist, rng(seed), query, model, target), rng(seed)
+    args = (f, model, query, target, dist, 0.01, 0.05)
+    # two suites in a row: the second starts on the first one's leftover draws
+    for i in (iteration, iteration + 1):
+        got = verify(f, draws, 0.01, 0.05, i, batch_limit=batch_limit)
+        assert got == scalar_verify(*args, i, b, batch_limit)
     # the next suite starts where the scalar loop would have started it
-    assert a.bit_generator.state == b.bit_generator.state
+    X, _, _, _ = draws.take(1)
+    assert dist.point(X[0]) == dist.sample(b)
 
 
 @pytest.mark.parametrize("case", ["zoo-rare", "zoo-region", "iris-ball", "iris-empirical"])
@@ -311,11 +318,11 @@ def test_estimate_matches_scalar_loop_and_stream(
     zoo_tree, iris_mlp, data_dir, case, seed, n_target, max_draws
 ):
     f, model, query, target, dist = _cases(zoo_tree, iris_mlp, data_dir)[case]
-    a, b = rng(seed), rng(seed)
-    args = (f, model, query, target, dist)
-    got = estimate_query_accuracy(*args, a, n_target, max_draws=max_draws)
-    assert got == scalar_estimate(*args, b, n_target, max_draws)
-    assert a.bit_generator.state == b.bit_generator.state
+    draws, b = Draws(dist, rng(seed), query, model, target), rng(seed)
+    got = estimate_query_accuracy(f, draws, n_target, max_draws=max_draws)
+    assert got == scalar_estimate(f, model, query, target, dist, b, n_target, max_draws)
+    X, _, _, _ = draws.take(1)
+    assert dist.point(X[0]) == dist.sample(b)
 
 
 def test_verify_working_set_is_bounded(zoo_tree):
@@ -327,7 +334,7 @@ def test_verify_working_set_is_bounded(zoo_tree):
     whole_suite = n * dist.arity * 8
     tracemalloc.start()
     try:
-        out = verify(f, zoo_tree, TrueQuery(16), "fish", dist, 5e-4, 0.05, 50, rng(0))
+        out = verify(f, stream(zoo_tree, TrueQuery(16), "fish", dist, 0), 5e-4, 0.05, 50)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
