@@ -10,10 +10,9 @@ fixed per-feature order, so a fixed seed yields a bit-identical sequence.
 `ProductPerFeature`, and `UniformBox`, its product of intervals, spend
 exactly one double per feature: draw i consumes doubles i*d .. i*d+d-1, so
 one `rng.random((n, d))` call yields the doubles of n scalar draws in
-order, and `skip` jumps k draws ahead with `advance`. `Empirical` spends a
-varying number of stream values per draw (`integers`, then ziggurat
-`normal`), so it draws its blocks one point at a time and skips by drawing
-and discarding.
+order. `Empirical` spends a varying number of stream values per draw
+(`integers`, then ziggurat `normal`), so it draws its blocks one point at a
+time.
 """
 
 from __future__ import annotations
@@ -37,18 +36,6 @@ class Distribution:
     def sample_block(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """n draws as the rows of an (n, arity) float array."""
         raise NotImplementedError
-
-    def skip(self, rng: np.random.Generator, k: int):
-        """Move `rng` past k draws, to where k calls of `sample` leave it.
-
-        Assumes one double per feature and draw; a distribution that draws
-        otherwise overrides it.
-        """
-        if isinstance(rng.bit_generator, (np.random.PCG64, np.random.PCG64DXSM)):
-            # one 64-bit step per double
-            rng.bit_generator.advance(k * self.arity)
-        else:
-            rng.random(k * self.arity)
 
     def point(self, row: np.ndarray) -> tuple:
         """One row of a block as the tuple `sample` would have returned."""
@@ -231,17 +218,13 @@ class Empirical(Distribution):
                 x[j] = min(1.0, max(0.0, x[j] + nz))
         return tuple(x.tolist())
 
-    # The scalar loops below are the block layout: a draw's stream use
-    # varies, so no array call reproduces n draws of `sample`.
+    # The scalar loop is the block layout: a draw's stream use varies, so
+    # no array call reproduces n draws of `sample`.
     def sample_block(self, rng: np.random.Generator, n: int) -> np.ndarray:
         X = np.empty((n, self.arity))
         for i in range(n):
             X[i] = self.sample(rng)
         return X
-
-    def skip(self, rng: np.random.Generator, k: int):
-        for _ in range(k):
-            self.sample(rng)
 
     def to_json(self) -> dict:
         if self.path is None:

@@ -55,7 +55,7 @@ from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .formula import (
-    _MASK_OPS,
+    _LITERAL_COMPARE,
     FALSE,
     TRUE,
     And,
@@ -65,6 +65,7 @@ from .formula import (
     Not,
     Or,
     _canonical_node,
+    _literal_test,
     evaluate,
     order_key,
     size,
@@ -161,6 +162,14 @@ class Grammar:
             lits.sort(key=order_key)
             object.__setattr__(self, "_literals", lits)
         return list(lits)
+
+    def literal_tests(self) -> tuple:
+        """`_literal_tests` of `literals()`, built once per grammar."""
+        tests = self.__dict__.get("_literal_tests")
+        if tests is None:
+            tests = _literal_tests(self.literals())
+            object.__setattr__(self, "_literal_tests", tests)
+        return tests
 
     def to_json(self) -> dict:
         features = []
@@ -399,32 +408,25 @@ def _build_formula(lits, combos) -> Formula:
 _DEADLINE_STRIDE = 4096
 
 
-# the compare of each literal op; `xj` is `xj = 1` and `(not xj)` is `xj != 1`
-_LITERAL_COMPARE = {**_MASK_OPS, "!=": np.not_equal}
-
-
-def _literal_tests(lits: Sequence[Formula]) -> list:
+def _literal_tests(lits: Sequence[Formula]) -> tuple:
     """(compare, literal indices, features, constants) for each op, so that
     one numpy compare tests a point against all the literals of the op."""
     groups = {}
     for i, lit in enumerate(lits):
-        if isinstance(lit, Atom):
-            op, j, c = lit.op, lit.feature, lit.constant
-        elif isinstance(lit, BoolAtom):
-            op, j, c = "=", lit.feature, 1.0
-        else:  # the negation of a BoolAtom
-            op, j, c = "!=", lit.child.feature, 1.0
+        op, j, c = _literal_test(lit)
         groups.setdefault(op, []).append((i, j, c))
     tests = []
     for op, members in groups.items():
         idx, features, constants = zip(*members)
-        tests.append((
-            _LITERAL_COMPARE[op],
+        arrays = (
             np.array(idx, dtype=np.intp),
             np.array(features, dtype=np.intp),
             np.array(constants, dtype=float),
-        ))
-    return tests
+        )
+        for a in arrays:
+            a.flags.writeable = False  # every learner of the grammar shares them
+        tests.append((_LITERAL_COMPARE[op], *arrays))
+    return tuple(tests)
 
 
 class OccamLearner:
@@ -442,7 +444,7 @@ class OccamLearner:
 
     def __init__(self, g: Grammar):
         self._lits = g.literals()
-        self._tests = _literal_tests(self._lits)
+        self._tests = g.literal_tests()
         self._held = np.zeros(len(self._lits), dtype=bool)  # scratch for `add`
         self._masks_p = [0] * len(self._lits)
         self._masks_n = [0] * len(self._lits)

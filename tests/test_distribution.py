@@ -244,28 +244,6 @@ def test_sample_block_matches_scalar_draws(name, seed, n):
     assert a.bit_generator.state == b.bit_generator.state
 
 
-@pytest.mark.parametrize("name", list(STREAMS))
-@settings(max_examples=25, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), k=st.integers(0, 300))
-def test_skip_matches_scalar_draws(name, seed, k):
-    dist = STREAMS[name]
-    a, b = rng(seed), rng(seed)
-    dist.skip(a, k)
-    scalar_draws(dist, b, k)
-    assert a.bit_generator.state == b.bit_generator.state
-    assert dist.sample(a) == dist.sample(b)
-
-
-def test_skip_without_advance_matches_scalar_draws():
-    # MT19937 has no `advance`; skipping falls back to drawing the doubles
-    dist = STREAMS["product"]
-    a = np.random.Generator(np.random.MT19937(3))
-    b = np.random.Generator(np.random.MT19937(3))
-    dist.skip(a, 40)
-    scalar_draws(dist, b, 40)
-    assert dist.sample(a) == dist.sample(b)
-
-
 class Doubles:
     """Stand-in generator handing out a fixed sequence of doubles."""
 

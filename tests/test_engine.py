@@ -10,6 +10,7 @@ import warnings
 import pytest
 
 from pacexplain import (
+    CosineBall,
     EngineError,
     EngineInvariantError,
     FormulaQuery,
@@ -448,6 +449,31 @@ def test_batch_on_discrete_distribution(seed):
     assert result.outcome == OUTCOME_EXPLANATION
     assert render(result.explanation) == "(or (and x0 x1) (and x0 x2))"
     check_run_invariants(result)
+
+
+@pytest.mark.parametrize(
+    "model_name, target, center",
+    [("iris_mlp", "virginica", (0.6, 0.4, 0.8, 0.8)),
+     ("adult_mlp", ">50K", (0.5, 0.75, 0.5, 0.25, 0.6))],
+    ids=["iris", "adult"],
+)
+def test_general_run_is_the_same_with_and_without_the_dnf_kernel(
+    request, model_name, target, center
+):
+    # the general strategy's conjectures are DNFs of hundreds of literals,
+    # evaluated by `formula._dnf_mask`; node by node they must give the same run
+    mlp = request.getfixturevalue(model_name)
+    loose = default_grammar(["real"] * mlp.arity, max_clauses=4096,
+                            max_literals_per_clause=2 * mlp.arity)
+    cfg = RunConfig(model=mlp, query=CosineBall(center, 0.5), target_class=target,
+                    grammar=loose, seed=23, strategy="general", max_iterations=120,
+                    accuracy_samples=500)
+    kernel = explain(cfg)
+    assert len(kernel.explanation.children) >= formula._DNF_MIN_CLAUSES
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(formula, "_DNF_MIN_CLAUSES", float("inf"))
+        nodes = explain(cfg)
+    assert stable_report(run_report(kernel)) == stable_report(run_report(nodes))
 
 
 def test_invariant_checker_rejects_tampered_label(zoo_tree, zoo_grammar):

@@ -5,11 +5,14 @@ interpreter: it never calls the package's `evaluate`, so agreement between
 the two is evidence, not a tautology.
 """
 
+import itertools
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pacexplain import (
@@ -33,6 +36,7 @@ from pacexplain import (
     render,
     size,
 )
+from pacexplain import formula as formula_module
 from pacexplain.formula import _canonical_node
 
 ARITY = 4
@@ -126,6 +130,122 @@ def test_evaluate_mask_matches_evaluate(f, data):
     mask = evaluate_mask(f, X)
     assert mask.dtype == bool
     assert mask.tolist() == [evaluate(f, x) for x in xs]
+
+
+# A few constants, so that literals recur across the clauses of one DNF.
+KERNEL_CONSTANTS = (-math.inf, -1.5, -0.0, 0.0, 0.5, 1.0, math.inf, math.nan)
+kernel_atoms = st.builds(
+    Atom,
+    st.integers(0, ARITY - 1),
+    st.sampled_from(("<", "<=", ">", ">=", "=")),
+    st.sampled_from(KERNEL_CONSTANTS),
+)
+kernel_literals = st.one_of(
+    st.builds(BoolAtom, st.integers(0, ARITY - 1)),
+    st.builds(BoolAtom, st.integers(0, ARITY - 1)).map(Not),
+    kernel_atoms,
+)
+# a clause may name one literal twice
+kernel_clauses = st.tuples(
+    st.lists(kernel_literals, min_size=1, max_size=5), st.booleans()
+).map(lambda t: t[0] + t[0][:1] if t[1] else t[0]).map(
+    lambda ls: And(tuple(ls)) if len(ls) > 1 else ls[0]
+)
+# clauses of no literal conjunction, which send a DNF to the recursion
+odd_clauses = st.one_of(
+    st.just(TRUE),
+    st.just(FALSE),
+    kernel_atoms.map(Not),
+    st.tuples(kernel_literals, kernel_literals.map(Not).map(Not)).map(And),
+    st.tuples(kernel_literals, kernel_literals).map(Or),
+)
+
+
+def _witness(clause, x):
+    """x with each feature the clause tests moved onto a value that passes
+    the clause's literals on it, where one of the values tried does."""
+    x = list(x)
+    lits = clause.children if isinstance(clause, And) else (clause,)
+    for j in features_of(clause):
+        mine = [lit for lit in lits if features_of(lit) == {j}]
+        tries = [0.0, 1.0] + [
+            lit.constant + d for lit in mine if isinstance(lit, Atom) for d in (-1.0, 0.0, 1.0)
+        ]
+        for value in tries:
+            x[j] = value
+            if all(evaluate(lit, x) for lit in mine):
+                break
+    return x
+
+
+@pytest.mark.parametrize(
+    "cells, min_rows",
+    [(formula_module._DNF_CELLS, formula_module._DNF_MIN_ROWS), (1, 1), (5, 1), (24, 2)],
+    ids=["default-slices", "one-cell", "five-cells", "two-rows"],
+)
+@settings(max_examples=50, deadline=None)
+@given(
+    st.lists(kernel_clauses, min_size=2, max_size=40),
+    st.lists(odd_clauses, max_size=1),
+    st.data(),
+)
+def test_dnf_mask_matches_evaluate(cells, min_rows, clauses, odd, data):
+    # The kernel against scalar `evaluate`, on both sides of _DNF_MIN_CLAUSES,
+    # and with slices small enough to cut blocks of a few rows and clauses.
+    # One row per clause is moved onto it, since a random point seldom
+    # satisfies a long clause.
+    f = Or(tuple(clauses + odd))
+    pool = [*KERNEL_CONSTANTS, 1.0, 2.0]
+    coordinate = st.one_of(st.sampled_from(pool), constants)
+    xs = data.draw(st.lists(st.lists(coordinate, min_size=ARITY, max_size=ARITY), max_size=12))
+    base = data.draw(st.lists(coordinate, min_size=ARITY, max_size=ARITY))
+    xs += [_witness(c, base) for c in clauses]
+    X = np.array(xs, dtype=float).reshape(len(xs), ARITY)
+    want = [evaluate(f, x) for x in xs]
+    with mock.patch.multiple(formula_module, _DNF_CELLS=cells, _DNF_MIN_ROWS=min_rows):
+        kernel = formula_module._dnf_mask(f, X)
+        assert (kernel is None) == bool(odd)
+        if kernel is not None:
+            assert kernel.dtype == bool and kernel.tolist() == want
+            assert formula_module._dnf_mask(f, X[:0]).shape == (0,)
+        mask = evaluate_mask(f, X)
+        assert mask.dtype == bool and mask.tolist() == want
+        assert evaluate_mask(f, X[:0]).shape == (0,)
+
+
+def _pairs_of_grammar_literals():
+    """maxClauses of criterion 8's loose grammar, in two-literal clauses over
+    16 features: 96 distinct literals."""
+    lits = [Atom(j, op, c) for j in range(16) for op in ("<", ">") for c in (0.25, 0.5, 0.75)]
+    return [And(pair) for pair in itertools.islice(itertools.combinations(lits, 2), 4096)]
+
+
+def _pairs_of_fresh_literals():
+    """4096 two-literal clauses, no literal in two of them."""
+    return [And((Atom(i % 16, "<", i), Atom(i % 16, ">", -i))) for i in range(4096)]
+
+
+@pytest.mark.parametrize(
+    "make_clauses",
+    [_pairs_of_grammar_literals, _pairs_of_fresh_literals],
+    ids=["grammar-literals", "fresh-literals"],
+)
+def test_dnf_mask_working_set_is_bounded(make_clauses):
+    # On the largest verify block, gathered unsliced, the clauses' literal
+    # rows alone would take 4096 * 2 * 4096 bytes, 32 MB.
+    f = Or(tuple(make_clauses()))
+    X = np.random.default_rng(0).random((4096, 16))
+    # the clauses keep their literal codes as long as they live, so a
+    # learner's next conjecture finds them cached
+    evaluate_mask(f, X[:1])
+    tracemalloc.start()
+    try:
+        mask = evaluate_mask(f, X)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+    assert mask.tolist() == np.logical_or.reduce([evaluate_mask(c, X) for c in f.children]).tolist()
 
 
 @given(formulas)

@@ -365,18 +365,20 @@ ON_CONSTANTS = st.sampled_from((0.0, -0.0, 0.25, 0.5, 0.75, 1.0, 2.0, math.inf, 
 @given(st.lists(st.tuples(*[ON_CONSTANTS] * 4), min_size=1, max_size=8))
 @settings(max_examples=60, deadline=None)
 def test_add_tests_each_literal_as_evaluate_does(points):
-    learner = OccamLearner(ALL_OPS)
-    for k, x in enumerate(points):
-        learner.add(x, k % 2)
-    for i, lit in enumerate(ALL_OPS.literals()):
-        for label, masks in ((0, learner._masks_n), (1, learner._masks_p)):
-            # the k-th point has label k % 2 and is bit k // 2 of its label's masks
-            want = sum(
-                1 << (k // 2)
-                for k, x in enumerate(points)
-                if k % 2 == label and evaluate(lit, x)
-            )
-            assert masks[i] == want, (render(lit), label)
+    # two learners of one grammar share its literal tests, built once
+    for learner in (OccamLearner(ALL_OPS), OccamLearner(ALL_OPS)):
+        assert learner._tests is ALL_OPS.literal_tests()
+        for k, x in enumerate(points):
+            learner.add(x, k % 2)
+        for i, lit in enumerate(ALL_OPS.literals()):
+            for label, masks in ((0, learner._masks_n), (1, learner._masks_p)):
+                # the k-th point has label k % 2 and is bit k // 2 of its label's masks
+                want = sum(
+                    1 << (k // 2)
+                    for k, x in enumerate(points)
+                    if k % 2 == label and evaluate(lit, x)
+                )
+                assert masks[i] == want, (render(lit), label)
 
 
 def _clauses_of(f):
