@@ -132,16 +132,7 @@ def _canonical_node(cls, children: tuple):
 
 def size(f: Formula) -> int:
     """Number of literal occurrences; constants count as 1."""
-    key = getattr(f, "_key", None)
-    if key is not None:
-        return key[0]
-    if isinstance(f, (ConstTrue, ConstFalse, Atom, BoolAtom)):
-        return 1
-    if isinstance(f, Not):
-        return size(f.child)
-    if isinstance(f, (And, Or)):
-        return sum(size(c) for c in f.children)
-    raise TypeError(f"not a Formula: {f!r}")
+    return order_key(f)[0]
 
 
 def disjunct_count(f: Formula) -> int:
@@ -149,34 +140,36 @@ def disjunct_count(f: Formula) -> int:
 
 
 def order_key(f: Formula):
-    """Sort key realizing the candidate order; see `compare`."""
+    """Sort key realizing the candidate order; see `compare`.
+
+    (size, disjunct count, structure), built in one pass from the children's
+    keys. The structure starts with a rank per constructor, so tuples at one
+    position are only ever compared with tuples of the same constructor.
+    Composite keys are cached on the node; leaves are cheap to re-key.
+    """
     key = getattr(f, "_key", None)
-    if key is None:
-        key = (size(f), disjunct_count(f), _structural_key(f))
-        # leaves are cheap to re-key; composite keys are worth keeping
-        if isinstance(f, (Not, And, Or)):
-            object.__setattr__(f, "_key", key)
-    return key
-
-
-def _structural_key(f: Formula):
-    # Ranks keep same-shape nodes comparable: tuples at a given position
-    # are only ever compared against tuples from the same constructor.
+    if key is not None:
+        return key
     if isinstance(f, ConstFalse):
-        return (0,)
+        return (1, 1, (0,))
     if isinstance(f, ConstTrue):
-        return (1,)
+        return (1, 1, (1,))
     if isinstance(f, BoolAtom):
-        return (2, f.feature)
+        return (1, 1, (2, f.feature))
     if isinstance(f, Atom):
-        return (3, f.feature, _OP_RANK[f.op], f.constant)
+        return (1, 1, (3, f.feature, _OP_RANK[f.op], f.constant))
     if isinstance(f, Not):
-        return (4, order_key(f.child))
-    if isinstance(f, And):
-        return (5, len(f.children), tuple(order_key(c) for c in f.children))
-    if isinstance(f, Or):
-        return (6, len(f.children), tuple(order_key(c) for c in f.children))
-    raise TypeError(f"not a Formula: {f!r}")
+        child = order_key(f.child)
+        key = (child[0], 1, (4, child))
+    elif isinstance(f, (And, Or)):
+        kids = tuple(order_key(c) for c in f.children)
+        n = len(kids)
+        rank, disjuncts = (6, n) if isinstance(f, Or) else (5, 1)
+        key = (sum(k[0] for k in kids), disjuncts, (rank, n, kids))
+    else:
+        raise TypeError(f"not a Formula: {f!r}")
+    object.__setattr__(f, "_key", key)
+    return key
 
 
 def compare(f1: Formula, f2: Formula) -> int:

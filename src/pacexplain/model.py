@@ -5,9 +5,8 @@ decision trees (``x[feature] <= threshold`` goes left), small MLPs
 (relu/identity layers, argmax output with ties to the lowest class index),
 and exact-match lookup tables. The explanation engine only ever calls
 `target_mask`, which says whether the model predicts a given class on each
-row of a block; the base class derives it, and `classify_batch`, which
-labels the rows, from `classify`, so anything exposing `classify` can be
-plugged in.
+row of a block; the base class derives it from `classify`, so anything
+exposing `classify` can be plugged in.
 
 Datasets come from RFC-4180 CSV files with a header row of distinct
 feature names; the last column is the class. Features are min-max
@@ -52,14 +51,11 @@ class Model:
     def classify(self, x: Sequence[float]):
         raise NotImplementedError
 
-    def classify_batch(self, X: np.ndarray) -> np.ndarray:
-        """Labels of the rows of the 2-D block X, as an object array."""
-        self._check_block(X)
-        return _object_array([self.classify(x) for x in X.tolist()])
-
     def target_mask(self, X: np.ndarray, target_class) -> np.ndarray:
-        """Whether the model predicts target_class on each row of X."""
-        return self.classify_batch(X) == target_class
+        """Whether the model predicts target_class on each row of the 2-D
+        block X."""
+        self._check_block(X)
+        return np.array([self.classify(x) == target_class for x in X.tolist()], dtype=bool)
 
     def to_json(self) -> dict:
         raise NotImplementedError
@@ -108,10 +104,6 @@ class DecisionTreeModel(Model):
         for _ in range(depth):
             node = np.where(X[rows, feature[node]] <= threshold[node], le[node], gt[node])
         return node
-
-    def classify_batch(self, X: np.ndarray) -> np.ndarray:
-        leaves = self._leaves(X)  # builds the flat tree first
-        return self._flat[4][leaves]
 
     def target_mask(self, X: np.ndarray, target_class) -> np.ndarray:
         leaves = self._leaves(X)
@@ -236,7 +228,7 @@ class MlpModel(Model):
 
     def classify(self, x: Sequence[float]):
         self._check_arity(x)
-        return self.classify_batch(np.asarray([x], dtype=float))[0]
+        return self._labels[self._outputs(np.asarray([x], dtype=float))[0]]
 
     def _outputs(self, X: np.ndarray) -> np.ndarray:
         """Each row's class index: the argmax of the last layer."""
@@ -252,9 +244,6 @@ class MlpModel(Model):
             v = np.maximum(out, 0.0) if act == "relu" else out
         # ties go to the lowest class index; np.argmax already does that
         return np.argmax(v, axis=1)
-
-    def classify_batch(self, X: np.ndarray) -> np.ndarray:
-        return self._labels[self._outputs(X)]
 
     def target_mask(self, X: np.ndarray, target_class) -> np.ndarray:
         return (self._labels == target_class)[self._outputs(X)]

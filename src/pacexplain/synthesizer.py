@@ -28,6 +28,7 @@ literals are walked, each tested against the literals' negative masks, and
 combinations order is the clauses' candidate order: the first hit is the
 first consistent candidate of the range, and a range without one is
 skipped whole. Clause records are built and kept only for the prefixes.
+With a deadline, the scan reads the clock once per range it skips.
 
 An engine run keeps one learner per strategy and feeds it each round's
 counterexamples. `OccamLearner` pauses its scan between rounds and
@@ -47,7 +48,6 @@ from __future__ import annotations
 import bisect
 import functools
 import itertools
-import math
 import time
 from dataclasses import dataclass
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
@@ -84,7 +84,8 @@ class InconsistentSampleError(ValueError):
 
 
 class SynthesisDeadlineError(RuntimeError):
-    """Raised when the enumerative scan exceeds its hard deadline."""
+    """Raised when the enumerative scan exceeds its hard deadline, which it
+    checks after each range of candidates that holds no answer."""
 
 
 @dataclass(frozen=True)
@@ -376,15 +377,6 @@ def _ranges(g: Grammar, group) -> Iterator[Optional[tuple]]:
             yield from _level(group, s, m, max_lits)
 
 
-@functools.lru_cache(maxsize=65536)
-def _combinations_after(n: int, k: int, after: Optional[tuple]) -> int:
-    """How many k-combinations of range(n) come after `after` (None: all)."""
-    if after is None:
-        return math.comb(n, k)
-    # those that first differ from `after` at place i, with a larger literal
-    return sum(math.comb(n - 1 - c, k - i) for i, c in enumerate(after))
-
-
 def _conjunction(lits) -> Formula:
     """true, the one literal, or the And of the literals, in canonical order."""
     lits = tuple(lits)
@@ -403,9 +395,6 @@ def _disjunction(clauses) -> Formula:
 
 def _build_formula(lits, combos) -> Formula:
     return _disjunction(_conjunction(lits[i] for i in combo) for combo in combos)
-
-
-_DEADLINE_STRIDE = 4096
 
 
 def _literal_tests(lits: Sequence[Formula]) -> tuple:
@@ -520,17 +509,14 @@ class OccamLearner:
         return None
 
     def next(self, deadline: Optional[float] = None) -> Optional[Formula]:
-        """Raises SynthesisDeadlineError when the scan passes the deadline."""
+        """Raises SynthesisDeadlineError when the scan passes the deadline,
+        which it checks once per range that holds no answer."""
         full_p = (1 << self._counts[1]) - 1
-        n = len(self._lits)
-        checked = 0
-        clock = _DEADLINE_STRIDE
         resume, self._resume = self._resume, ()
         for rng in itertools.chain(resume, self._stream):
             if rng is None:
                 if not full_p:
                     return FALSE
-                checked += 1
                 continue
             prefix, k, after = rng
             covered = 0
@@ -542,13 +528,8 @@ class OccamLearner:
             if last is not None:
                 self._resume = ((prefix, k, last),)
                 return _build_formula(self._lits, [rec[0] for rec in prefix] + [last])
-            checked += _combinations_after(n, k, after)
-            if deadline is not None and checked >= clock:
-                clock = checked + _DEADLINE_STRIDE
-                if time.perf_counter() > deadline:
-                    raise SynthesisDeadlineError(
-                        f"candidate scan passed its deadline after {checked} candidates"
-                    )
+            if deadline is not None and time.perf_counter() > deadline:
+                raise SynthesisDeadlineError("candidate scan passed its deadline")
         return None
 
 
@@ -614,8 +595,7 @@ class GeneralLearner:
 
     def __init__(self, g: Grammar):
         self._g = g
-        self._keys = []  # the clauses' order keys, sorted
-        self._clauses = []  # the clauses in the same order, which is Or's
+        self._clauses = []  # sorted by order key, which is Or's order
         self._negatives = []
         self._failed = False
 
@@ -627,21 +607,20 @@ class GeneralLearner:
             self._failed = any(evaluate(c, x) for c in self._clauses)
             return
         g = self._g
+        clauses = self._clauses
         clause = _cell_clause(g, _cell_signature(g, x))
-        key = order_key(clause)
-        place = bisect.bisect_left(self._keys, key)
-        if place < len(self._keys) and self._keys[place] == key:
+        place = bisect.bisect_left(clauses, order_key(clause), key=order_key)
+        if place < len(clauses) and clauses[place] == clause:
             return
         self._failed = (
             size(clause) > g.max_literals_per_clause
-            or len(self._keys) == g.max_clauses
+            or len(clauses) == g.max_clauses
             or any(evaluate(clause, n) for n in self._negatives)
         )
-        self._keys.insert(place, key)
-        self._clauses.insert(place, clause)
+        clauses.insert(place, clause)
 
     def next(self, deadline: Optional[float] = None) -> Optional[Formula]:
-        if self._failed or not (self._keys or self._g.include_constants):
+        if self._failed or not (self._clauses or self._g.include_constants):
             return None
         return _disjunction(self._clauses)
 

@@ -92,15 +92,6 @@ def _block(xs, arity=3):
     return np.array(xs, dtype=float).reshape(len(xs), arity)
 
 
-@given(tree_strategy(), st.lists(points3, max_size=12))
-def test_tree_classify_batch_matches_classify(root, xs):
-    model = DecisionTreeModel(3, ("a", "b"), root)
-    # points on the split thresholds test `<=` at equality
-    xs = xs + [[t, t, t] for t in sorted(_thresholds(root))]
-    labels = model.classify_batch(_block(xs))
-    assert labels.tolist() == [model.classify(x) for x in xs]
-
-
 def assert_target_masks_match_classify(model, xs):
     X = _block(xs, model.arity)
     for target in model.classes:
@@ -196,17 +187,6 @@ def test_mlp_matches_loop_forward_oracle(model, x):
     assert model.classify(x) == model.classes[best]
 
 
-@given(mlp_strategy(), st.lists(points3, max_size=12))
-def test_mlp_classify_batch_matches_classify_and_oracle(model, xs):
-    labels = model.classify_batch(_block(xs)).tolist()
-    assert labels == [model.classify(x) for x in xs]
-    layers = [(w.tolist(), b.tolist(), act) for w, b, act in model.layers]
-    for x, label in zip(xs, labels):
-        logits = forward_oracle(layers, x)
-        best = max(range(len(logits)), key=lambda i: (logits[i], -i))
-        assert label == model.classes[best]
-
-
 @given(
     st.one_of(mlp_strategy(), mlp_strategy(classes=("p", "q", "p"))),
     st.lists(points3_nan, max_size=12),
@@ -268,20 +248,6 @@ def test_table_model_lookup_and_default():
         model.classify([1.0])
 
 
-def test_table_classify_batch_matches_classify():
-    model = TableModel(
-        2,
-        ("no", "yes"),
-        [{"x": [0, 1], "class": "yes"}, {"x": [1, 1], "class": "no"}],
-        "no",
-    )
-    xs = [[0.0, 1.0], [1.0, 1.0], [0.5, 0.5], [0.0, 1.0]]
-    labels = model.classify_batch(_block(xs, 2))
-    assert labels.tolist() == [model.classify(x) for x in xs] == ["yes", "no", "no", "yes"]
-    with pytest.raises(ValueError):
-        model.classify_batch(_block(xs, 2)[:, :1])
-
-
 table_points = st.lists(st.sampled_from((0.0, 0.5, 1.0, math.nan)), min_size=2, max_size=2)
 
 
@@ -294,7 +260,10 @@ def test_table_target_mask_matches_classify(xs):
          {"x": [0.5, 0], "class": "maybe"}],
         "no",
     )
-    assert_target_masks_match_classify(model, xs + [[0.0, 1.0], [1.0, 1.0], [0.5, 0.0]])
+    xs = xs + [[0.0, 1.0], [1.0, 1.0], [0.5, 0.0]]
+    assert_target_masks_match_classify(model, xs)
+    with pytest.raises(ValueError):
+        model.target_mask(_block(xs, 2)[:, :1], "yes")
 
 
 def test_table_model_validation_errors():
