@@ -14,6 +14,7 @@ before disjunctions).
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -420,27 +421,8 @@ def equivalent_on_grid(f1: Formula, f2: Formula, grid: Iterable[Sequence[float]]
 
 # --- parsing ---------------------------------------------------------------
 
-_TOKEN_BREAKS = {"(", ")"}
-
-
-def _tokenize(text: str):
-    tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in _TOKEN_BREAKS:
-            tokens.append((ch, i))
-            i += 1
-            continue
-        j = i
-        while j < n and not text[j].isspace() and text[j] not in _TOKEN_BREAKS:
-            j += 1
-        tokens.append((text[i:j], i))
-        i = j
-    return tokens
+# a parenthesis, or a run of characters that are neither space nor parenthesis
+_TOKEN = re.compile(r"[()]|[^\s()]+")
 
 
 def _parse_number(token: str) -> Optional[float]:
@@ -452,7 +434,7 @@ def _parse_number(token: str) -> Optional[float]:
 
 class _Parser:
     def __init__(self, text: str, arity: int, names: Optional[Sequence[str]]):
-        self.tokens = _tokenize(text)
+        self.tokens = [(m.group(), m.start()) for m in _TOKEN.finditer(text)]
         self.pos = 0
         self.arity = arity
         self.name_index = (
@@ -551,4 +533,7 @@ def parse(text: str, arity: int, names: Optional[Sequence[str]] = None) -> Formu
     """
     if arity < 0:
         raise FormulaError("arity must be non-negative")
-    return _Parser(text, arity, names).parse()
+    try:
+        return _Parser(text, arity, names).parse()
+    except RecursionError:
+        raise FormulaParseError("formula nested too deeply") from None

@@ -6,7 +6,8 @@ decision trees (``x[feature] <= threshold`` goes left), small MLPs
 and exact-match lookup tables. The explanation engine only ever calls
 `target_mask`, which says whether the model predicts a given class on each
 row of a block; the base class derives it from `classify`, so anything
-exposing `classify` can be plugged in.
+exposing `classify` can be plugged in. A tree is validated and compiled into
+node arrays in one breadth-first walk, without recursion, when it is built.
 
 Datasets come from RFC-4180 CSV files with a header row of distinct
 feature names; the last column is the class. Features are min-max
@@ -81,8 +82,7 @@ class DecisionTreeModel(Model):
         self.arity = int(arity)
         self.classes = tuple(classes)
         self.root = root
-        _validate_tree_node(root, self.arity, set(self.classes))
-        self._flat = None  # built by the first block call
+        self._flat = _flatten_tree(root, self.arity, set(self.classes))
         self._is_target = {}  # target class -> whether each node's label is it
 
     def classify(self, x: Sequence[float]):
@@ -92,25 +92,18 @@ class DecisionTreeModel(Model):
             node = node["le"] if x[node["feature"]] <= node["threshold"] else node["gt"]
         return node["leaf"]
 
-    def _leaves(self, X: np.ndarray) -> np.ndarray:
-        """The leaf each row of X reaches."""
+    def target_mask(self, X: np.ndarray, target_class) -> np.ndarray:
         self._check_block(X)
-        if self._flat is None:
-            self._flat = _flatten_tree(self.root)
-        feature, threshold, le, gt, _, depth = self._flat
+        feature, threshold, le, gt, labels, depth = self._flat
+        is_target = self._is_target.get(target_class)
+        if is_target is None:
+            is_target = self._is_target[target_class] = labels == target_class
         rows = np.arange(len(X))
         node = np.zeros(len(X), dtype=np.intp)
         # every row takes `depth` steps; one that reached its leaf stays there
         for _ in range(depth):
             node = np.where(X[rows, feature[node]] <= threshold[node], le[node], gt[node])
-        return node
-
-    def target_mask(self, X: np.ndarray, target_class) -> np.ndarray:
-        leaves = self._leaves(X)
-        is_target = self._is_target.get(target_class)
-        if is_target is None:
-            is_target = self._is_target[target_class] = self._flat[4] == target_class
-        return is_target[leaves]
+        return is_target[node]
 
     def to_json(self) -> dict:
         return {
@@ -140,29 +133,41 @@ class DecisionTreeModel(Model):
         return paths
 
 
-def _flatten_tree(root: dict) -> tuple:
-    """Node arrays in breadth-first order: feature, threshold, le and gt
-    child indices, and each node's label (None at a split); then the depth.
-    A leaf tests feature 0 and is both its own children, so it keeps the
-    rows that reach it."""
-    nodes = [root]
-    level = [0]
-    feature, threshold, le, gt, labels = [], [], [], [], []
+def _flatten_tree(root, arity: int, classes: set) -> tuple:
+    """Validate a tree and compile it in one breadth-first walk.
+
+    Raises ModelFormatError at the first malformed node, or at a node that
+    is its own descendant. Returns the node arrays in breadth-first order:
+    feature, threshold, le and gt child indices, and each node's label (None
+    at a split); then the depth. A leaf tests feature 0 and is both its own
+    children, so it keeps the rows that reach it.
+    """
+    nodes, level, seen = [root], [0], set()
+    rows = []  # (feature, threshold, le, gt, label) per node
     for k, node in enumerate(nodes):
+        if not isinstance(node, dict):
+            raise ModelFormatError(f"tree node must be an object, got {node!r}")
+        # an acyclic path to this node passes level + 1 distinct nodes, all seen
+        seen.add(id(node))
+        if level[k] >= len(seen):
+            raise ModelFormatError("tree node is its own descendant")
         if "leaf" in node:
-            feature.append(0)
-            threshold.append(0.0)
-            le.append(k)
-            gt.append(k)
-            labels.append(node["leaf"])
-        else:
-            feature.append(node["feature"])
-            threshold.append(float(node["threshold"]))
-            le.append(len(nodes))
-            gt.append(len(nodes) + 1)
-            labels.append(None)
-            nodes += [node["le"], node["gt"]]
-            level += [level[k] + 1] * 2
+            if node["leaf"] not in classes:
+                raise ModelFormatError(f"leaf class {node['leaf']!r} not in classes")
+            rows.append((0, 0.0, k, k, node["leaf"]))
+            continue
+        for key in ("feature", "threshold", "le", "gt"):
+            if key not in node:
+                raise ModelFormatError(f"tree node missing {key!r}")
+        j = node["feature"]
+        if not isinstance(j, int) or not 0 <= j < arity:
+            raise ModelFormatError(f"tree split feature {j!r} out of range")
+        if not isinstance(node["threshold"], (int, float)):
+            raise ModelFormatError("tree threshold must be numeric")
+        rows.append((j, float(node["threshold"]), len(nodes), len(nodes) + 1, None))
+        nodes += [node["le"], node["gt"]]
+        level += [level[k] + 1] * 2
+    feature, threshold, le, gt, labels = zip(*rows)
     return (
         np.asarray(feature, dtype=np.intp),
         np.asarray(threshold),
@@ -171,25 +176,6 @@ def _flatten_tree(root: dict) -> tuple:
         _object_array(labels),
         max(level),
     )
-
-
-def _validate_tree_node(node, arity: int, classes: set):
-    if not isinstance(node, dict):
-        raise ModelFormatError(f"tree node must be an object, got {node!r}")
-    if "leaf" in node:
-        if node["leaf"] not in classes:
-            raise ModelFormatError(f"leaf class {node['leaf']!r} not in classes")
-        return
-    for key in ("feature", "threshold", "le", "gt"):
-        if key not in node:
-            raise ModelFormatError(f"tree node missing {key!r}")
-    j = node["feature"]
-    if not isinstance(j, int) or not 0 <= j < arity:
-        raise ModelFormatError(f"tree split feature {j!r} out of range")
-    if not isinstance(node["threshold"], (int, float)):
-        raise ModelFormatError("tree threshold must be numeric")
-    _validate_tree_node(node["le"], arity, classes)
-    _validate_tree_node(node["gt"], arity, classes)
 
 
 _ACTIVATIONS = ("relu", "id")
@@ -322,6 +308,8 @@ def load_model(path: str) -> Model:
             obj = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ModelFormatError(f"{path}: invalid JSON: {exc}") from exc
+        except RecursionError:
+            raise ModelFormatError(f"{path}: JSON nested too deeply") from None
     return model_from_json(obj)
 
 

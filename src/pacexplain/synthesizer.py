@@ -92,8 +92,8 @@ class SynthesisDeadlineError(RuntimeError):
 class GrammarFeature:
     index: int
     kind: str  # "bool" | "real"
-    constants: tuple = ()
-    ops: tuple = ()
+    constants: Optional[tuple] = None  # None: DEFAULT_CONSTANTS
+    ops: Optional[tuple] = None  # None: GRAMMAR_OPS
     name: Optional[str] = None
 
     def __post_init__(self):
@@ -105,8 +105,9 @@ class GrammarFeature:
             return
         if self.kind != "real":
             raise GrammarError(f"unknown feature kind {self.kind!r}")
-        constants = tuple(float(c) for c in (self.constants or DEFAULT_CONSTANTS))
-        ops = tuple(self.ops or GRAMMAR_OPS)
+        constants = DEFAULT_CONSTANTS if self.constants is None else self.constants
+        constants = tuple(float(c) for c in constants)
+        ops = tuple(GRAMMAR_OPS if self.ops is None else self.ops)
         if not set(ops) <= set(GRAMMAR_OPS):
             raise GrammarError(f"grammar ops must be a subset of {GRAMMAR_OPS}")
         if not ops:
@@ -210,8 +211,8 @@ class Grammar:
                 GrammarFeature(
                     index=index,
                     kind=entry.get("kind", "real"),
-                    constants=tuple(entry.get("constants", ())),
-                    ops=tuple(entry.get("ops", ())),
+                    constants=entry.get("constants"),
+                    ops=entry.get("ops"),
                     name=entry.get("name"),
                 )
             )

@@ -11,7 +11,7 @@ import subprocess
 
 import pytest
 
-from pacexplain import load_dataset, save_manifest
+from pacexplain import load_dataset, save_manifest, stable_report
 from pacexplain.cli import main
 
 
@@ -234,6 +234,92 @@ def test_unknown_class_reports_usage_error(data_dir, capsys):
     ])
     assert code == 1
     assert "dragon" in capsys.readouterr().err
+
+
+def test_dataset_without_grammar_uses_the_default_grammar(data_dir, capsys):
+    code = main([
+        "explain",
+        "--model", str(data_dir / "zoo_tree.json"),
+        "--class", "fish",
+        "--dataset", str(data_dir / "zoo.csv"),
+        "--query", "(not breathes)",
+        "--seed", "7",
+    ])
+    assert code == 0
+    assert "explanation:  fins\n" in capsys.readouterr().out
+
+
+def test_dataset_width_must_match_the_model(data_dir, capsys):
+    code = main([
+        "explain",
+        "--model", str(data_dir / "mlp_iris.json"),
+        "--class", "virginica",
+        "--dataset", str(data_dir / "zoo.csv"),
+    ])
+    assert code == 1
+    assert "dataset has 16 features but the model expects 4" in capsys.readouterr().err
+
+
+def test_distribution_file_equals_inline_json(data_dir, tmp_path, capsys):
+    # fair coins but for the last feature, so it is not the default distribution
+    fair = {"categorical": {"0": 0.5, "1": 0.5}}
+    spec = json.dumps({"product": [fair] * 15 + [{"categorical": {"0": 0.3, "1": 0.7}}]})
+    path = tmp_path / "dist.json"
+    path.write_text(spec)
+    reports = []
+    for given in (spec, str(path)):
+        assert main(zoo_args(data_dir, "--distribution", given, "--json")) == 0
+        reports.append(stable_report(json.loads(capsys.readouterr().out)))
+    assert len(reports[0]["config"]["distribution"]["product"]) == 16
+    assert reports[0] == reports[1]
+
+
+def test_numeric_class_text_resolves_to_the_model_class(tmp_path, capsys):
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps({
+        "type": "table", "arity": 1, "classes": [0, 1],
+        "entries": [{"x": [0.5], "class": 1}], "default": 0,
+    }))
+    code = main(["explain", "--model", str(path), "--class", "1", "--json"])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["config"]["targetClass"] == 1
+
+
+def _assert_error_line(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
+def test_deeply_nested_model_exits_one(tmp_path, capsys):
+    depth = 5000
+    split = '{"feature": 0, "threshold": 0.5, "gt": {"leaf": "b"}, "le": '
+    root = split * depth + '{"leaf": "a"}' + "}" * depth
+    path = tmp_path / "deep.json"
+    path.write_text(f'{{"type": "tree", "arity": 1, "classes": ["a", "b"], "root": {root}}}')
+    assert main(["explain", "--model", str(path), "--class", "a"]) == 1
+    _assert_error_line(capsys)
+
+
+def test_deeply_nested_query_exits_one(data_dir, capsys):
+    depth = 3000
+    query = "(not " * depth + "x0" + ")" * depth
+    assert main(zoo_args(data_dir, "--query", query)) == 1
+    _assert_error_line(capsys)
+
+
+def test_empty_grammar_constants_or_ops_exit_one(data_dir, tmp_path, capsys):
+    for key, message in (("constants", "at least one constant"), ("ops", "at least one op")):
+        path = tmp_path / f"no-{key}.json"
+        path.write_text(json.dumps({"features": [{"index": 0, "kind": "real", key: []}]}))
+        code = main([
+            "explain",
+            "--model", str(data_dir / "mlp_iris.json"),
+            "--class", "virginica",
+            "--grammar", str(path),
+        ])
+        assert code == 1
+        assert message in capsys.readouterr().err
 
 
 def test_env_overrides_and_flag_precedence(data_dir, capsys, monkeypatch):

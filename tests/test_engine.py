@@ -5,6 +5,7 @@ import dataclasses
 import gc
 import inspect
 import json
+import time
 import warnings
 
 import pytest
@@ -23,6 +24,7 @@ from pacexplain import (
     ReplayError,
     ReplayMismatchError,
     RunConfig,
+    SynthesisDeadlineError,
     TrueQuery,
     UniformBox,
     check_run_invariants,
@@ -175,6 +177,38 @@ def test_expired_budget_before_first_conjecture(zoo_tree, zoo_grammar):
     assert result.explanation is None
     assert not result.certified
     assert result.stats.iterations == 0
+
+
+class _StubLearner:
+    """Answers `late` after sleeping `pause` seconds, or raises
+    SynthesisDeadlineError when `late` is None."""
+
+    def __init__(self, late, pause):
+        self.late, self.pause = late, pause
+
+    def next(self, deadline):
+        time.sleep(self.pause)
+        if self.late is None:
+            raise SynthesisDeadlineError("stub deadline")
+        return self.late
+
+    def add(self, x, label):
+        raise AssertionError("no counterexample can reach the stub")
+
+
+@pytest.mark.parametrize("late", [None, "(and x11 (not x9))"])
+def test_timeout_while_the_learner_runs(zoo_tree, zoo_grammar, monkeypatch, late):
+    timeout = 0.05
+    formula = None if late is None else parse(late, zoo_tree.arity)
+    pause = 0.0 if late is None else 2 * timeout
+    monkeypatch.setitem(engine.LEARNERS, "occam", lambda g: _StubLearner(formula, pause))
+    cfg = zoo_config(zoo_tree, zoo_grammar, seed=0, timeout=timeout, accuracy_samples=0)
+    result = explain(cfg)
+    assert result.outcome == OUTCOME_BUDGET_TIMEOUT
+    assert not result.certified
+    assert result.stats.iterations == 0
+    # a learner that gives up leaves nothing; a late answer is still reported
+    assert result.explanation == formula
 
 
 def test_grammar_exhaustion_means_no_explanation(zoo_tree):

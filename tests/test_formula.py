@@ -408,6 +408,24 @@ def test_parse_error_positions():
         parse("(never x0)", 2, ["a", "b"])
 
 
+def test_token_positions_around_unicode_whitespace():
+    # tab, newline, no-break space, em space and ideographic space each
+    # separate tokens as one character; a zero-width space does not
+    assert parse("(and\tx0\n(<\u00a0x1\u20030.5)\u3000x2)", 3) == parse(
+        "(and x0 (< x1 0.5) x2)", 3
+    )
+    for text, position in [
+        ("(and\tx0\n(<\u00a0x1\u2003oops)\u3000x2)", 14),
+        ("(or\u3000x0\u00a0x9)", 7),
+        ("x0\u2003x1", 3),
+        ("(<\tx0\n", 5),
+        ("\u3000\u00a0x0\u200b", 2),
+    ]:
+        with pytest.raises(FormulaParseError) as err:
+            parse(text, 3)
+        assert err.value.position == position, text
+
+
 def test_parse_accepts_all_comparison_ops():
     for op in ("<", "<=", ">", ">=", "="):
         f = parse(f"({op} x1 0.25)", 2)

@@ -157,6 +157,51 @@ def test_tree_validation_errors():
         DecisionTreeModel(2, ("a",), ["leaf", "a"])
 
 
+@pytest.mark.parametrize("bad,message", [
+    ({"leaf": "zzz"}, "leaf class 'zzz' not in classes"),
+    ({"feature": 5, "threshold": 0.5, "le": {"leaf": "a"}, "gt": {"leaf": "a"}},
+     "tree split feature 5 out of range"),
+    ({"feature": 0, "le": {"leaf": "a"}, "gt": {"leaf": "a"}}, "tree node missing 'threshold'"),
+    ({"feature": 0, "threshold": "mid", "le": {"leaf": "a"}, "gt": {"leaf": "a"}},
+     "tree threshold must be numeric"),
+    (["leaf", "a"], "tree node must be an object"),
+])
+@pytest.mark.parametrize("depth", [3, 6])
+def test_malformed_node_below_the_root_is_rejected(bad, message, depth):
+    root = bad
+    for k in range(depth):
+        sound = {"leaf": "a"}
+        le, gt = (root, sound) if k % 2 else (sound, root)
+        root = {"feature": k % 2, "threshold": 0.5, "le": le, "gt": gt}
+    with pytest.raises(ModelFormatError, match=message):
+        DecisionTreeModel(2, ("a",), root)
+
+
+def test_tree_node_that_is_its_own_descendant_is_rejected():
+    loop = {"feature": 0, "threshold": 0.5, "gt": {"leaf": "a"}}
+    loop["le"] = loop
+    with pytest.raises(ModelFormatError, match="own descendant"):
+        DecisionTreeModel(1, ("a",), {"feature": 0, "threshold": 0.2, "le": {"leaf": "a"}, "gt": loop})
+    # a subtree shared by two parents is no cycle
+    shared = {"feature": 0, "threshold": 0.5, "le": {"leaf": "a"}, "gt": {"leaf": "b"}}
+    model = DecisionTreeModel(1, ("a", "b"), {"feature": 0, "threshold": 0.2, "le": shared, "gt": shared})
+    assert_target_masks_match_classify(model, [[0.1], [0.4], [0.6]])
+
+
+def test_deep_tree_loads_and_its_mask_matches_classify():
+    # row (u, v) descends while its coordinates stay under the thresholds,
+    # which fall towards the bottom, so random rows stop at many depths
+    depth = 3000
+    root = {"leaf": "a"}
+    for k in range(depth):
+        gt = {"leaf": "b" if k % 3 else "a"}
+        root = {"feature": k % 2, "threshold": (k + 1) / (depth + 1), "le": root, "gt": gt}
+    model = DecisionTreeModel(2, ("a", "b"), root)
+    rng = np.random.default_rng(0)
+    xs = rng.random((300, 2)).tolist() + [[0.0, 0.0], [1.0, 1.0], [0.5, 0.5]]
+    assert_target_masks_match_classify(model, xs)
+
+
 mlp_layer_floats = st.floats(-2, 2, allow_nan=False)
 
 

@@ -43,7 +43,7 @@ from pacexplain import (
     synthesize,
     synthesize_general,
 )
-from pacexplain.synthesizer import GeneralLearner, OccamLearner
+from pacexplain.synthesizer import DEFAULT_CONSTANTS, GRAMMAR_OPS, GeneralLearner, OccamLearner
 
 from brute_force import brute_force_class
 
@@ -501,9 +501,9 @@ def _xor_sample():
     return sample
 
 
-def test_deadline_counts_the_candidates_of_skipped_ranges():
-    # one clause of up to 4 of 20 literals: six ranges stand for 6,195
-    # candidates, and no one clause holds both positives of the xor
+def test_expired_deadline_fires_on_a_class_without_a_consistent_member():
+    # no one clause of up to 4 of 20 literals holds both positives of the
+    # xor, so the scan skips a range and reads the expired deadline
     g = default_grammar(["bool"] * 10, max_clauses=1, max_literals_per_clause=4)
     with pytest.raises(SynthesisDeadlineError):
         synthesize(_xor_sample(), g, deadline=time.perf_counter() - 1.0)
@@ -661,6 +661,20 @@ def test_grammar_rejects_duplicate_ops():
         Grammar.from_json(
             {"features": [{"kind": "real", "constants": [0.5], "ops": ["<", "<"]}]}
         )
+
+
+def test_grammar_rejects_an_empty_constants_or_ops_list():
+    # only a missing list takes the default; an empty one allows no literal
+    with pytest.raises(GrammarError, match="at least one constant"):
+        GrammarFeature(0, "real", (), ("<",))
+    with pytest.raises(GrammarError, match="at least one op"):
+        GrammarFeature(0, "real", (0.5,), ())
+    for key, message in (("constants", "at least one constant"), ("ops", "at least one op")):
+        with pytest.raises(GrammarError, match=message):
+            Grammar.from_json({"features": [{"kind": "real", key: []}]})
+    default = GrammarFeature(0, "real")
+    assert (default.constants, default.ops) == (DEFAULT_CONSTANTS, GRAMMAR_OPS)
+    assert Grammar.from_json({"features": [{"kind": "real"}]}).features == (default,)
 
 
 def test_grammar_feature_normalization():
