@@ -28,7 +28,7 @@ from .engine import (
     write_report,
 )
 from .model import load_dataset, load_manifest, load_model, accuracy_on
-from .query import load_query
+from .query import _loads_json, load_query
 from .synthesizer import Grammar, Sample, default_grammar, export_sygus_if
 
 log = logging.getLogger("pacexplain")
@@ -126,6 +126,11 @@ def _load_names_kinds(args):
     return None, None, None
 
 
+def _load_grammar(path: str, names):
+    with open(path, "r", encoding="utf-8") as fh:
+        return Grammar.from_json(_loads_json(fh.read(), path), names)
+
+
 def _resolve_class(model, text: str):
     if text in model.classes:
         return text
@@ -150,8 +155,7 @@ def _build_config(args):
         )
 
     if args.grammar:
-        with open(args.grammar, "r", encoding="utf-8") as fh:
-            grammar = Grammar.from_json(json.load(fh), names)
+        grammar = _load_grammar(args.grammar, names)
     elif kinds is not None:
         grammar = default_grammar(kinds, names)
     else:
@@ -163,7 +167,7 @@ def _build_config(args):
         if os.path.exists(text):
             with open(text, "r", encoding="utf-8") as fh:
                 text = fh.read()
-        spec = json.loads(text)
+        spec = _loads_json(text, "distribution")
         if "empirical" in spec:
             # the report keeps this path, and replay may run from another directory
             spec["empirical"]["dataset"] = os.path.abspath(spec["empirical"]["dataset"])
@@ -327,10 +331,9 @@ def _cmd_replay(args) -> int:
 
 def _cmd_export(args) -> int:
     names, _, _ = _load_names_kinds(args)
-    with open(args.grammar, "r", encoding="utf-8") as fh:
-        grammar = Grammar.from_json(json.load(fh), names)
+    grammar = _load_grammar(args.grammar, names)
     with open(args.sample, "r", encoding="utf-8") as fh:
-        spec = json.load(fh)
+        spec = _loads_json(fh.read(), args.sample)
     sample = Sample((entry["x"], entry["label"]) for entry in spec.get("entries", []))
     text = export_sygus_if(sample, grammar, names, args.arity)
     if args.out:

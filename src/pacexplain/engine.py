@@ -32,7 +32,7 @@ from . import __version__
 from .distribution import Distribution, default_distribution, distribution_from_json
 from .formula import Formula, compare, evaluate, render, size
 from .model import Model, model_from_json
-from .query import Query, query_from_json
+from .query import Query, _loads_json, query_from_json
 # `synthesize` and `synthesize_general` stay importable here: bench/tracing.py
 # wraps them in this module
 from .synthesizer import (  # noqa: F401
@@ -428,7 +428,7 @@ def replay(path: str) -> RunResult:
     raise ReplayMismatchError when they diverge.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        recorded = json.load(fh)
+        recorded = _loads_json(fh.read(), path)
     if recorded.get("version") != __version__:
         raise ReplayError(
             f"report version {recorded.get('version')!r} does not match {__version__!r}"

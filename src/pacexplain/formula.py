@@ -226,7 +226,6 @@ _MASK_OPS = {
 # `xj = 1` and `(not xj)` is `xj != 1`, which holds for NaN as `evaluate`'s
 # `not` of `NaN = 1` does.
 _LITERAL_COMPARE = {**_MASK_OPS, "!=": np.not_equal}
-_LITERAL_OPS = tuple(_LITERAL_COMPARE)
 
 
 def _literal_test(f: Formula) -> Optional[tuple]:
@@ -241,118 +240,50 @@ def _literal_test(f: Formula) -> Optional[tuple]:
     return None
 
 
-# A disjunction of at least this many clauses goes through `_dnf_mask`.
-# Below it the recursion is faster: the kernel's fixed cost of some twenty
-# numpy calls outweighs one call per node.
-_DNF_MIN_CLAUSES = 8
-# The most cells `_dnf_mask` holds in one array. It takes rows and clauses
-# a slice at a time, so that its working set does not grow with the number
-# of rows or clauses. A slice keeps at least _DNF_MIN_ROWS rows, since
-# gathers of shorter rows cost more than their bytes; only a DNF of more
-# than _DNF_CELLS / _DNF_MIN_ROWS distinct literals then holds more cells,
-# _DNF_MIN_ROWS per literal.
-_DNF_CELLS = 1 << 16
-_DNF_MIN_ROWS = 64
+# The most cells `_literal_words` and `_cover_mask` hold in one array: they
+# take the rows or the clauses a slice at a time, so that their working sets
+# do not grow with the number of rows or clauses.
+_COVER_CELLS = 1 << 16
 
 
-def _literal_codes(clause: Formula):
-    """The clause's literals as the bytes of an int64 array of (feature * 8
-    + op code, constant bits) pairs, or False when the clause is not a
-    literal or a conjunction of literals.
+def _literal_words(tests: tuple, X: np.ndarray, width: int) -> np.ndarray:
+    """The grammar literals that hold on each row of X, as a rows × width
+    array of little-endian 64-bit words: bit i of a row is literal i.
 
-    Cached on the clause node, as `order_key` caches its key, since a
-    learner's clauses recur from one conjecture to the next; as bytes, the
-    clauses of a conjecture join into one buffer in a single copy.
+    `tests` are the grammar's `literal_tests()`; one numpy compare tests a
+    slice of rows against all the literals of one op.
     """
-    codes = clause.__dict__.get("_codes")
-    if codes is None:
-        kids = clause.children if isinstance(clause, And) else (clause,)
-        tests = [_literal_test(lit) for lit in kids]
-        codes = False
-        if None not in tests:
-            pairs = np.empty((len(tests), 2), dtype=np.int64)
-            pairs[:, 0] = [j * 8 + _LITERAL_OPS.index(op) for op, j, _ in tests]
-            pairs[:, 1] = np.array([c for _, _, c in tests], dtype=float).view(np.int64)
-            codes = pairs.tobytes()
-        object.__setattr__(clause, "_codes", codes)
-    return codes
+    held = np.zeros((len(X), 64 * width), dtype=bool)
+    step = max(1, _COVER_CELLS // (64 * width))
+    for lo in range(0, len(X), step):
+        block = X[lo:lo + step]
+        for compare, idx, features, constants in tests:
+            held[lo:lo + step, idx] = compare(block[:, features], constants)
+    return np.packbits(held, axis=1, bitorder="little").view("<u8")
 
 
-def _dnf_mask(f: Or, X: np.ndarray) -> Optional[np.ndarray]:
-    """`evaluate_mask` of the disjunction f, or None when some clause of f is
-    not a literal or a conjunction of literals.
-
-    Each distinct literal is compared once, into a row of a literals × rows
-    matrix. The clauses, grouped by length as arrays of literal numbers,
-    gather their literals' rows and AND them; the mask is the OR over the
-    clauses.
-    """
-    groups = {}  # clause length in bytes -> the clauses' codes
-    for clause in f.children:
-        codes = _literal_codes(clause)
-        if codes is False:
-            return None
-        groups.setdefault(len(codes), []).append(codes)
-    lengths = sorted(groups)
-    codes = np.frombuffer(
-        b"".join([c for size in lengths for c in groups[size]]), dtype=np.int64
-    ).reshape(-1, 2)
-    # Number the distinct literals in order of feature, op and constant, so
-    # that the literals of one feature and op are a run of rows of the
-    # literal matrix, which one compare fills. (np.unique would import
-    # numpy.ma.)
-    order = np.lexsort((codes[:, 1], codes[:, 0]))
-    ranked = codes[order]
-    first = np.empty(len(ranked), dtype=bool)
-    first[:1] = True
-    np.not_equal(ranked[1:, 0], ranked[:-1, 0], out=first[1:])
-    first[1:] |= ranked[1:, 1] != ranked[:-1, 1]
-    ids = np.empty(len(codes), dtype=np.intp)
-    ids[order] = np.cumsum(first) - 1
-    code = ranked[first, 0]
-    constants = ranked[first, 1].view(float)[:, None]
-    bounds = [0, *(np.flatnonzero(code[1:] != code[:-1]) + 1).tolist(), len(code)]
-    runs = [
-        (_LITERAL_COMPARE[_LITERAL_OPS[c & 7]], c >> 3, lo, hi)
-        for c, lo, hi in zip(code[bounds[:-1]].tolist(), bounds, bounds[1:])
-    ]
-    grouped = []  # per clause length: the clauses' literal numbers
-    start = 0
-    for size in lengths:
-        n, k = len(groups[size]), size // 16
-        grouped.append(ids[start:start + n * k].reshape(n, k))
-        start += n * k
-    out = np.zeros(len(X), dtype=bool)
-    per = max(_DNF_MIN_ROWS, _DNF_CELLS // len(code))  # rows per slice
-    for r in range(0, len(X), per):
-        block = X[r:r + per]
-        held = np.empty((len(code), len(block)), dtype=bool)
-        for compare, j, lo, hi in runs:
-            compare(block[:, j], constants[lo:hi], out=held[lo:hi])
-        hit = out[r:r + per]
-        cells = max(1, _DNF_CELLS // len(block))  # literal rows per gather
-        for clauses in grouped:
-            step = max(1, cells // clauses.shape[1])
-            for lo in range(0, len(clauses), step):
-                hit |= held[clauses[lo:lo + step]].all(axis=1).any(axis=0)
-    return out
+def _cover_mask(clauses: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Whether some clause holds on each row, for clauses and rows given as
+    literal bitsets (`_literal_words`): a clause holds on a row when its
+    literals are a subset of the row's."""
+    missing = ~rows
+    none = np.ones(len(rows), dtype=bool)  # no clause so far holds on the row
+    step = max(1, _COVER_CELLS // max(1, missing.size))
+    for lo in range(0, len(clauses), step):
+        none &= (clauses[lo:lo + step, None] & missing).any(axis=2).all(axis=0)
+    return ~none
 
 
 def evaluate_mask(f: Formula, X: np.ndarray) -> np.ndarray:
     """`evaluate` on every row of the 2-D float block X, as a boolean mask.
 
-    A disjunction of at least _DNF_MIN_CLAUSES clauses, each a literal or a
-    conjunction of literals, goes through `_dnf_mask`, which compares each
-    distinct literal once and then needs a few array operations per clause
-    length: the general learner's conjectures are such DNFs, of hundreds of
-    literal occurrences over a few dozen literals. Every other formula is
-    evaluated node by node, with one numpy call per node, which is faster
-    for small DNFs such as the Occam learner's candidates and queries.
+    A disjunction that carries its clauses as literal bitsets, as the
+    general learner's conjectures do, is one subset test per clause and row
+    after the grammar's literals are tested once on each row: `_words` is
+    (the grammar's literal tests, a clauses × words array). Every other
+    formula, queries and parsed formulas among them, is evaluated node by
+    node, with one numpy call per node.
     """
-    if isinstance(f, Or) and len(f.children) >= _DNF_MIN_CLAUSES:
-        out = _dnf_mask(f, X)
-        if out is not None:
-            return out
     if isinstance(f, Atom):
         return _MASK_OPS[f.op](X[:, f.feature], f.constant)
     if isinstance(f, BoolAtom):
@@ -365,6 +296,10 @@ def evaluate_mask(f: Formula, X: np.ndarray) -> np.ndarray:
             out &= evaluate_mask(c, X)
         return out
     if isinstance(f, Or):
+        words = f.__dict__.get("_words")
+        if words is not None:
+            tests, clauses = words
+            return _cover_mask(clauses, _literal_words(tests, X, clauses.shape[1]))
         out = evaluate_mask(f.children[0], X)
         for c in f.children[1:]:
             out |= evaluate_mask(c, X)

@@ -32,7 +32,7 @@ import numpy as np
 
 # `evaluate` stays importable here: bench/tracing.py wraps it in this module
 from .formula import Formula, evaluate, evaluate_mask  # noqa: F401
-from .query import Query, TrueQuery
+from .query import Query, TrueQuery, _loads_json
 
 
 class ModelFormatError(ValueError):
@@ -355,7 +355,7 @@ def save_manifest(data: Dataset, path: str):
 
 def load_manifest(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        manifest = json.load(fh)
+        manifest = _loads_json(fh.read(), path)
     _check_manifest(manifest, path)
     return manifest
 

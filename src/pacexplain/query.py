@@ -140,6 +140,15 @@ def query_from_json(obj: dict, arity: int, names: Optional[Sequence[str]] = None
     raise QueryError("query JSON needs 'formula' or 'cosine'")
 
 
+def _loads_json(text: str, source: str):
+    """`json.loads`, with JSON nested too deeply for the parser reported as
+    a ValueError that names `source`, instead of a RecursionError."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError(f"{source}: JSON nested too deeply") from None
+
+
 def load_query(spec: str, arity: int, names: Optional[Sequence[str]] = None) -> Query:
     """Build a query from a formula string, a JSON string, or a file path."""
     text = spec
@@ -148,5 +157,5 @@ def load_query(spec: str, arity: int, names: Optional[Sequence[str]] = None) -> 
             text = fh.read()
     stripped = text.strip()
     if stripped.startswith("{"):
-        return query_from_json(json.loads(stripped), arity, names)
+        return query_from_json(_loads_json(stripped, "query"), arity, names)
     return FormulaQuery(parse(stripped, arity, names), arity)

@@ -65,7 +65,9 @@ from .formula import (
     Not,
     Or,
     _canonical_node,
+    _cover_mask,
     _literal_test,
+    _literal_words,
     evaluate,
     order_key,
     size,
@@ -573,8 +575,15 @@ def _cell_signature(g: Grammar, x) -> tuple:
     return tuple(sig)
 
 
+def _word_count(g: Grammar) -> int:
+    """Words of a bitset over g's literals (`formula._literal_words`)."""
+    return max(1, -(-len(g.literals()) // 64))
+
+
 @functools.lru_cache(maxsize=65536)
-def _cell_clause(g: Grammar, sig: tuple) -> Formula:
+def _cell_clause(g: Grammar, sig: tuple) -> tuple:
+    """The clause of the grid cell `sig`, and its literals as a read-only
+    bitset over `g.literals()`."""
     lits = []
     for f, s in zip(g.features, sig):
         if f.kind == "bool":
@@ -585,45 +594,75 @@ def _cell_clause(g: Grammar, sig: tuple) -> Formula:
             lits.append(Atom(f.index, ">", f.constants[lo - 1]))
         if hi < len(f.constants) and "<" in f.ops:
             lits.append(Atom(f.index, "<", f.constants[hi]))
-    return _conjunction(sorted(lits, key=order_key))
+    place = {lit: i for i, lit in enumerate(g.literals())}
+    held = np.zeros(64 * _word_count(g), dtype=bool)
+    held[[place[lit] for lit in lits]] = True
+    words = np.packbits(held, bitorder="little").view("<u8")
+    words.flags.writeable = False
+    return _conjunction(sorted(lits, key=order_key)), words
 
 
 class GeneralLearner:
     """The cover of `synthesize_general`, extended point by point.
+
+    Each clause and each negative is kept as a bitset over the grammar's
+    literals, one row of an array; the clauses' array grows by doubling. A
+    clause holds on a point when its literals are a subset of those the
+    point holds, so a new negative or a new clause is one subset test
+    against the other side. Each conjecture carries a read-only view of the
+    clauses' rows, which `evaluate_mask` tests instead of walking the
+    clauses; rows are only ever appended, so a later clause leaves the view
+    as it was.
 
     Once the cover fails it stays failed, since the sample only grows.
     """
 
     def __init__(self, g: Grammar):
         self._g = g
+        self._tests = g.literal_tests()
         self._clauses = []  # sorted by order key, which is Or's order
-        self._negatives = []
+        width = _word_count(g)
+        self._words = np.zeros((8, width), dtype="<u8")  # the clauses, in order added
+        self._negatives = np.zeros((0, width), dtype="<u8")
+        self._cover = None  # the literal tests and a read-only view of the rows
         self._failed = False
 
     def add(self, x: Sequence[float], label: int):
         if self._failed:
             return
         if not label:
-            self._negatives.append(x)
-            self._failed = any(evaluate(c, x) for c in self._clauses)
+            x = np.asarray(x, dtype=float)[None]
+            row = _literal_words(self._tests, x, self._words.shape[1])
+            self._negatives = np.concatenate([self._negatives, row])  # they are few
+            self._failed = bool(_cover_mask(self._words[:len(self._clauses)], row)[0])
             return
         g = self._g
         clauses = self._clauses
-        clause = _cell_clause(g, _cell_signature(g, x))
+        clause, words = _cell_clause(g, _cell_signature(g, x))
         place = bisect.bisect_left(clauses, order_key(clause), key=order_key)
         if place < len(clauses) and clauses[place] == clause:
             return
+        n = len(clauses)
         self._failed = (
             size(clause) > g.max_literals_per_clause
-            or len(clauses) == g.max_clauses
-            or any(evaluate(clause, n) for n in self._negatives)
+            or n == g.max_clauses
+            or bool(len(self._negatives) and _cover_mask(words[None], self._negatives).any())
         )
         clauses.insert(place, clause)
+        if n == len(self._words):  # views handed out keep the old buffer
+            self._words = np.concatenate([self._words, np.zeros_like(self._words)])
+        self._words[n] = words
+        cover = self._words[:n + 1]
+        cover.flags.writeable = False
+        self._cover = (self._tests, cover)
 
     def next(self, deadline: Optional[float] = None) -> Optional[Formula]:
         if self._failed or not (self._clauses or self._g.include_constants):
             return None
-        return _disjunction(self._clauses)
+        f = _disjunction(self._clauses)
+        if isinstance(f, Or):
+            object.__setattr__(f, "_words", self._cover)
+        return f
 
 
 def synthesize_general(sample: Sample, g: Grammar) -> Optional[Formula]:

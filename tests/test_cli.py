@@ -308,6 +308,34 @@ def test_deeply_nested_query_exits_one(data_dir, capsys):
     _assert_error_line(capsys)
 
 
+DEEP_JSON = '{"x": ' + "[" * 5000 + "]" * 5000 + "}"
+
+
+@pytest.mark.parametrize(
+    "read", ["query", "distribution", "grammar", "manifest", "replay", "sygus-grammar",
+             "sygus-sample"],
+)
+def test_deeply_nested_json_exits_one(read, data_dir, tmp_path, capsys):
+    # JSON nested past the parser's recursion limit, at each JSON read
+    deep = tmp_path / "deep.json"
+    deep.write_text(DEEP_JSON)
+    grammar = str(data_dir / "zoo_grammar.json")
+    sample = tmp_path / "sample.json"
+    sample.write_text('{"entries": []}')
+    argv = {
+        "query": zoo_args(data_dir, "--query", DEEP_JSON),
+        "distribution": zoo_args(data_dir, "--distribution", DEEP_JSON),
+        "grammar": ["explain", "--model", str(data_dir / "zoo_tree.json"), "--class", "fish",
+                    "--grammar", str(deep)],
+        "manifest": zoo_args(data_dir, "--manifest", str(deep)),
+        "replay": ["replay", str(deep)],
+        "sygus-grammar": ["export-sygus", "--grammar", str(deep), "--sample", str(sample)],
+        "sygus-sample": ["export-sygus", "--grammar", grammar, "--sample", str(deep)],
+    }[read]
+    assert main(argv) == 1
+    _assert_error_line(capsys)
+
+
 def test_empty_grammar_constants_or_ops_exit_one(data_dir, tmp_path, capsys):
     for key, message in (("constants", "at least one constant"), ("ops", "at least one op")):
         path = tmp_path / f"no-{key}.json"

@@ -21,6 +21,7 @@ from pacexplain import (
     OUTCOME_BUDGET_TIMEOUT,
     OUTCOME_EXPLANATION,
     OUTCOME_NO_EXPLANATION,
+    Or,
     ReplayError,
     ReplayMismatchError,
     RunConfig,
@@ -495,7 +496,8 @@ def test_general_run_is_the_same_with_and_without_the_dnf_kernel(
     request, model_name, target, center
 ):
     # the general strategy's conjectures are DNFs of hundreds of literals,
-    # evaluated by `formula._dnf_mask`; node by node they must give the same run
+    # which carry their clauses as literal bitsets for `evaluate_mask`;
+    # stripped of them, evaluated node by node, they must give the same run
     mlp = request.getfixturevalue(model_name)
     loose = default_grammar(["real"] * mlp.arity, max_clauses=4096,
                             max_literals_per_clause=2 * mlp.arity)
@@ -503,10 +505,17 @@ def test_general_run_is_the_same_with_and_without_the_dnf_kernel(
                     grammar=loose, seed=23, strategy="general", max_iterations=120,
                     accuracy_samples=500)
     kernel = explain(cfg)
-    assert len(kernel.explanation.children) >= formula._DNF_MIN_CLAUSES
+    assert len(kernel.explanation.children) >= 8 and "_words" in vars(kernel.explanation)
+    learner_next = synthesizer.GeneralLearner.next
+
+    def stripped_next(learner, deadline=None):
+        f = learner_next(learner, deadline)
+        return Or(f.children) if isinstance(f, Or) else f  # a fresh node
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(formula, "_DNF_MIN_CLAUSES", float("inf"))
+        mp.setattr(synthesizer.GeneralLearner, "next", stripped_next)
         nodes = explain(cfg)
+    assert "_words" not in vars(nodes.explanation)
     assert stable_report(run_report(kernel)) == stable_report(run_report(nodes))
 
 

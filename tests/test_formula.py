@@ -5,7 +5,6 @@ interpreter: it never calls the package's `evaluate`, so agreement between
 the two is evidence, not a tautology.
 """
 
-import itertools
 import math
 import re
 import tracemalloc
@@ -13,7 +12,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pacexplain import (
@@ -24,9 +23,12 @@ from pacexplain import (
     BoolAtom,
     FormulaError,
     FormulaParseError,
+    Grammar,
+    GrammarFeature,
     Not,
     Or,
     compare,
+    default_grammar,
     disjunct_count,
     equivalent_on_grid,
     evaluate,
@@ -39,6 +41,7 @@ from pacexplain import (
 )
 from pacexplain import formula as formula_module
 from pacexplain.formula import _canonical_node
+from pacexplain.synthesizer import GeneralLearner
 
 ARITY = 4
 
@@ -133,112 +136,97 @@ def test_evaluate_mask_matches_evaluate(f, data):
     assert mask.tolist() == [evaluate(f, x) for x in xs]
 
 
-# A few constants, so that literals recur across the clauses of one DNF.
-KERNEL_CONSTANTS = (-math.inf, -1.5, -0.0, 0.0, 0.5, 1.0, math.inf, math.nan)
-kernel_atoms = st.builds(
-    Atom,
-    st.integers(0, ARITY - 1),
-    st.sampled_from(("<", "<=", ">", ">=", "=")),
-    st.sampled_from(KERNEL_CONSTANTS),
+# Grammar constants, then points between them, past them, and NaN.
+COVER_GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
+cover_coordinates = st.sampled_from(COVER_GRID + (-0.0, 0.1, 0.6, -1.0, 2.0, math.inf, math.nan))
+cover_features = st.one_of(
+    st.just(("bool", None, None)),
+    st.tuples(
+        st.just("real"),
+        st.lists(st.sampled_from(COVER_GRID), min_size=1, max_size=4, unique=True),
+        st.sampled_from((("<",), (">",), ("<", ">"))),
+    ),
 )
-kernel_literals = st.one_of(
-    st.builds(BoolAtom, st.integers(0, ARITY - 1)),
-    st.builds(BoolAtom, st.integers(0, ARITY - 1)).map(Not),
-    kernel_atoms,
-)
-# a clause may name one literal twice
-kernel_clauses = st.tuples(
-    st.lists(kernel_literals, min_size=1, max_size=5), st.booleans()
-).map(lambda t: t[0] + t[0][:1] if t[1] else t[0]).map(
-    lambda ls: And(tuple(ls)) if len(ls) > 1 else ls[0]
-)
-# clauses of no literal conjunction, which send a DNF to the recursion
-odd_clauses = st.one_of(
-    st.just(TRUE),
-    st.just(FALSE),
-    kernel_atoms.map(Not),
-    st.tuples(kernel_literals, kernel_literals.map(Not).map(Not)).map(And),
-    st.tuples(kernel_literals, kernel_literals).map(Or),
-)
+# eleven real features of six literals each: with them a grammar has more
+# than 64 literals, so a bitset takes two words
+WIDE_FEATURES = [("real", (0.25, 0.5, 0.75), ("<", ">"))] * 11
 
 
-def _witness(clause, x):
-    """x with each feature the clause tests moved onto a value that passes
-    the clause's literals on it, where one of the values tried does."""
-    x = list(x)
-    lits = clause.children if isinstance(clause, And) else (clause,)
-    for j in features_of(clause):
-        mine = [lit for lit in lits if features_of(lit) == {j}]
-        tries = [0.0, 1.0] + [
-            lit.constant + d for lit in mine if isinstance(lit, Atom) for d in (-1.0, 0.0, 1.0)
-        ]
-        for value in tries:
-            x[j] = value
-            if all(evaluate(lit, x) for lit in mine):
-                break
-    return x
+@st.composite
+def cover_grammars(draw):
+    specs = draw(st.lists(cover_features, min_size=1, max_size=6))
+    if draw(st.booleans()):
+        specs += WIDE_FEATURES
+    feats = tuple(GrammarFeature(j, *spec) for j, spec in enumerate(specs))
+    return Grammar(feats, max_clauses=64, max_literals_per_clause=2 * len(feats))
 
 
 @pytest.mark.parametrize(
-    "cells, min_rows",
-    [(formula_module._DNF_CELLS, formula_module._DNF_MIN_ROWS), (1, 1), (5, 1), (24, 2)],
+    "cells",
+    [lambda width: formula_module._COVER_CELLS, lambda width: 1, lambda width: 5,
+     lambda width: 2 * width],
     ids=["default-slices", "one-cell", "five-cells", "two-rows"],
 )
-@settings(max_examples=50, deadline=None)
-@given(
-    st.lists(kernel_clauses, min_size=2, max_size=40),
-    st.lists(odd_clauses, max_size=1),
-    st.data(),
-)
-def test_dnf_mask_matches_evaluate(cells, min_rows, clauses, odd, data):
-    # The kernel against scalar `evaluate`, on both sides of _DNF_MIN_CLAUSES,
-    # and with slices small enough to cut blocks of a few rows and clauses.
-    # One row per clause is moved onto it, since a random point seldom
-    # satisfies a long clause.
-    f = Or(tuple(clauses + odd))
-    pool = [*KERNEL_CONSTANTS, 1.0, 2.0]
-    coordinate = st.one_of(st.sampled_from(pool), constants)
-    xs = data.draw(st.lists(st.lists(coordinate, min_size=ARITY, max_size=ARITY), max_size=12))
-    base = data.draw(st.lists(coordinate, min_size=ARITY, max_size=ARITY))
-    xs += [_witness(c, base) for c in clauses]
-    X = np.array(xs, dtype=float).reshape(len(xs), ARITY)
+@settings(max_examples=40, deadline=None)
+@given(cover_grammars(), st.data())
+def test_dnf_mask_matches_evaluate(cells, g, data):
+    # A general learner's cover, tested as literal bitsets, against scalar
+    # `evaluate` on every leading run of rows, 0 rows among them; with the
+    # slices small enough, the clauses per slice change with the row count.
+    # The fed points are rows too, since a random row seldom lies in a cell
+    # of the cover, and so is each fed point with one coordinate changed,
+    # which may leave its cell by the literals of one word alone.
+    point = st.lists(cover_coordinates, min_size=len(g.features), max_size=len(g.features))
+    fed = data.draw(st.lists(point, min_size=2, max_size=30))
+    learner = GeneralLearner(g)
+    for x in fed:
+        learner.add(x, 1)
+    f = learner.next()
+    assume(isinstance(f, Or))
+    width = f._words[1].shape[1]
+    assert width == (2 if len(g.literals()) > 64 else 1)
+    moves = data.draw(st.lists(
+        st.tuples(st.integers(0, len(g.features) - 1), cover_coordinates),
+        min_size=len(fed), max_size=len(fed),
+    ))
+    moved = [x[:j] + [v] + x[j + 1:] for x, (j, v) in zip(fed, moves)]
+    xs = fed + moved + data.draw(st.lists(point, max_size=12))
+    X = np.array(xs, dtype=float)
     want = [evaluate(f, x) for x in xs]
-    with mock.patch.multiple(formula_module, _DNF_CELLS=cells, _DNF_MIN_ROWS=min_rows):
-        kernel = formula_module._dnf_mask(f, X)
-        assert (kernel is None) == bool(odd)
-        if kernel is not None:
-            assert kernel.dtype == bool and kernel.tolist() == want
-            assert formula_module._dnf_mask(f, X[:0]).shape == (0,)
-        mask = evaluate_mask(f, X)
-        assert mask.dtype == bool and mask.tolist() == want
-        assert evaluate_mask(f, X[:0]).shape == (0,)
+    with mock.patch.object(formula_module, "_COVER_CELLS", cells(width)):
+        for k in range(len(xs) + 1):
+            mask = evaluate_mask(f, X[:k])
+            assert mask.dtype == bool and mask.tolist() == want[:k]
 
 
-def _pairs_of_grammar_literals():
-    """maxClauses of criterion 8's loose grammar, in two-literal clauses over
-    16 features: 96 distinct literals."""
-    lits = [Atom(j, op, c) for j in range(16) for op in ("<", ">") for c in (0.25, 0.5, 0.75)]
-    return [And(pair) for pair in itertools.islice(itertools.combinations(lits, 2), 4096)]
+def _learner_cover():
+    """A general learner's cover of 4096 grid cells, over the grammar of
+    criterion 8 on 16 features: 96 literals, two words per bitset. Half the
+    rows lie in a cell of the cover."""
+    g = default_grammar(["real"] * 16, max_clauses=4096, max_literals_per_clause=32)
+    fed = np.random.default_rng(0).random((4096, 16))
+    learner = GeneralLearner(g)
+    for x in fed:
+        learner.add(x, 1)
+    f = learner.next()
+    assert len(f.children) == 4096 and f._words[1].shape == (4096, 2)
+    return f, np.concatenate([fed[:2048], np.random.default_rng(1).random((2048, 16))])
 
 
-def _pairs_of_fresh_literals():
-    """4096 two-literal clauses, no literal in two of them."""
-    return [And((Atom(i % 16, "<", i), Atom(i % 16, ">", -i))) for i in range(4096)]
+def _fresh_literal_dnf():
+    """4096 two-literal clauses, no literal in two of them, evaluated node
+    by node."""
+    clauses = [And((Atom(i % 16, "<", i), Atom(i % 16, ">", -i))) for i in range(4096)]
+    return Or(tuple(clauses)), np.random.default_rng(0).random((4096, 16))
 
 
 @pytest.mark.parametrize(
-    "make_clauses",
-    [_pairs_of_grammar_literals, _pairs_of_fresh_literals],
-    ids=["grammar-literals", "fresh-literals"],
+    "make", [_learner_cover, _fresh_literal_dnf], ids=["grammar-literals", "fresh-literals"]
 )
-def test_dnf_mask_working_set_is_bounded(make_clauses):
-    # On the largest verify block, gathered unsliced, the clauses' literal
-    # rows alone would take 4096 * 2 * 4096 bytes, 32 MB.
-    f = Or(tuple(make_clauses()))
-    X = np.random.default_rng(0).random((4096, 16))
-    # the clauses keep their literal codes as long as they live, so a
-    # learner's next conjecture finds them cached
-    evaluate_mask(f, X[:1])
+def test_dnf_mask_working_set_is_bounded(make):
+    # On the largest verify block, unsliced, the 4096 clauses' words ANDed
+    # with the rows' would take 4096 * 4096 * 2 * 8 bytes, 256 MB.
+    f, X = make()
     tracemalloc.start()
     try:
         mask = evaluate_mask(f, X)
@@ -246,7 +234,8 @@ def test_dnf_mask_working_set_is_bounded(make_clauses):
     finally:
         tracemalloc.stop()
     assert peak < 2 * 2**20
-    assert mask.tolist() == np.logical_or.reduce([evaluate_mask(c, X) for c in f.children]).tolist()
+    rows = range(2040, 2056)  # across the first row that lies in no cell
+    assert mask[rows].tolist() == [evaluate(f, X[r]) for r in rows]
 
 
 @given(formulas)

@@ -13,6 +13,7 @@ import math
 import random
 import time
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -35,6 +36,7 @@ from pacexplain import (
     default_grammar,
     enumerate_formulas,
     evaluate,
+    evaluate_mask,
     export_sygus_if,
     is_consistent,
     order_key,
@@ -43,6 +45,7 @@ from pacexplain import (
     synthesize,
     synthesize_general,
 )
+from pacexplain import synthesizer
 from pacexplain.synthesizer import DEFAULT_CONSTANTS, GRAMMAR_OPS, GeneralLearner, OccamLearner
 
 from brute_force import brute_force_class
@@ -634,6 +637,105 @@ def test_cover_consistent_whenever_it_returns(entries):
     f = synthesize_general(sample, g)
     assert f is not None
     assert is_consistent(f, sample)
+
+
+class ScalarCover:
+    """The general learner's cover with scalar `evaluate` loops, as it was
+    before clauses and negatives were kept as literal bitsets. `add` names
+    the test that failed the cover, if one did."""
+
+    def __init__(self, g):
+        self.g, self.clauses, self.negatives, self.failed = g, [], [], False
+
+    def add(self, x, label):
+        if self.failed:
+            return None
+        g = self.g
+        if not label:
+            self.negatives.append(x)
+            self.failed = any(evaluate(c, x) for c in self.clauses)
+            return "negative" if self.failed else None
+        clause, _ = synthesizer._cell_clause(g, synthesizer._cell_signature(g, x))
+        if clause in self.clauses:
+            return None
+        self.clauses.append(clause)
+        if size(clause) > g.max_literals_per_clause or len(self.clauses) > g.max_clauses:
+            self.failed = True
+            return "bounds"
+        self.failed = any(evaluate(clause, n) for n in self.negatives)
+        return "clause" if self.failed else None
+
+    def next(self):
+        if self.failed or not (self.clauses or self.g.include_constants):
+            return None
+        if len(self.clauses) > 1:
+            return Or(tuple(self.clauses))
+        return self.clauses[0] if self.clauses else FALSE
+
+
+# room for more clauses and literals than ALL_OPS, and 68 literals, whose
+# bitsets take two words
+ROOMY = Grammar(ALL_OPS.features, max_clauses=6, max_literals_per_clause=6)
+WIDE = default_grammar(["real"] * 11 + ["bool"], max_clauses=6, max_literals_per_clause=24)
+
+
+@pytest.mark.parametrize("g", [ALL_OPS, ROOMY, WIDE], ids=["all-ops", "roomy", "wide"])
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_general_learner_fails_as_the_scalar_cover_does(g, data):
+    point = st.tuples(*[ON_CONSTANTS] * (g.features[-1].index + 1))
+    entries = data.draw(st.lists(st.tuples(point, st.sampled_from((0, 1, 1))), max_size=10))
+    learner, scalar = GeneralLearner(g), ScalarCover(g)
+    for x, label in entries:
+        learner.add(x, label)
+        scalar.add(x, label)
+        assert learner.next() == scalar.next()
+
+
+@pytest.mark.parametrize("g", [CELL_G, WIDE], ids=["one-feature", "wide"])
+def test_general_learner_failure_paths(g):
+    # a negative in a covered cell fails the cover, and so does a new clause
+    # over a negative already added; a negative in another cell fails
+    # neither, also when it leaves the cell only by the last feature, whose
+    # literals are the last bits of the bitsets
+    d = g.features[-1].index + 1
+    inside, also_inside, outside = (0.3,) * d, (0.4,) * d, (0.6,) * d
+    last_apart = inside[:-1] + (1.0,)
+    for entries, path in (
+        ([(inside, 1), (outside, 0), (last_apart, 0), (also_inside, 0)], "negative"),
+        ([(outside, 0), (last_apart, 0), (also_inside, 0), (inside, 1)], "clause"),
+    ):
+        learner, scalar = GeneralLearner(g), ScalarCover(g)
+        failed_by = []
+        for x, label in entries:
+            learner.add(x, label)
+            failed_by.append(scalar.add(x, label))
+            assert learner.next() == scalar.next()
+        assert failed_by == [None, None, None, path]
+        assert learner.next() is None
+
+
+def test_general_conjecture_keeps_its_mask_as_the_cover_grows():
+    # After a timeout, the post-run estimate evaluates the last conjecture
+    # although the learner has taken more points since; neither a clause
+    # written into the same buffer nor a grown buffer may change its mask.
+    g = default_grammar(["real"] * 3, max_clauses=64, max_literals_per_clause=6)
+    cells = list(itertools.product((0.1, 0.3, 0.6, 0.9), repeat=3))  # 64 cells
+    X = np.array(cells + [(0.25, 0.5, 0.75)])
+    learner = GeneralLearner(g)
+    conjectures = []
+    for k, x in enumerate(cells, 1):
+        learner.add(x, 1)
+        if k in (2, 5, 8):  # the buffer's first 8 rows, then it grows
+            conjectures.append(learner.next())
+    masks = [evaluate_mask(f, X).tolist() for f in conjectures]
+    last = learner.next()
+    assert len(last.children) == 64
+    assert evaluate_mask(last, X).tolist() == [evaluate(last, x) for x in X]
+    for f, mask in zip(conjectures, masks):
+        assert evaluate_mask(f, X).tolist() == mask == [evaluate(f, x) for x in X]
+        with pytest.raises(ValueError):
+            f._words[1][0] = 0
 
 
 # --- grammar -------------------------------------------------------------------
