@@ -28,7 +28,7 @@ from .engine import (
     write_report,
 )
 from .model import load_dataset, load_manifest, load_model, accuracy_on
-from .query import _loads_json, load_query
+from .query import _finite_number, _loads_json, load_query
 from .synthesizer import Grammar, Sample, default_grammar, export_sygus_if
 
 log = logging.getLogger("pacexplain")
@@ -334,7 +334,21 @@ def _cmd_export(args) -> int:
     grammar = _load_grammar(args.grammar, names)
     with open(args.sample, "r", encoding="utf-8") as fh:
         spec = _loads_json(fh.read(), args.sample)
-    sample = Sample((entry["x"], entry["label"]) for entry in spec.get("entries", []))
+    entries = spec.get("entries", []) if isinstance(spec, dict) else None
+    if not isinstance(entries, list):
+        raise CliError(f"{args.sample}: sample JSON needs an 'entries' list")
+    for entry in entries:
+        if not (
+            isinstance(entry, dict)
+            and isinstance(entry.get("x"), list)
+            and all(_finite_number(v) for v in entry["x"])
+            and entry.get("label") in (0, 1)
+        ):
+            raise CliError(
+                f"{args.sample}: each sample entry needs 'x', a list of finite numbers,"
+                " and 'label', 0 or 1"
+            )
+    sample = Sample((entry["x"], entry["label"]) for entry in entries)
     text = export_sygus_if(sample, grammar, names, args.arity)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

@@ -17,7 +17,6 @@ fields, and timeout-triggered budget stops naturally depend on them.
 
 from __future__ import annotations
 
-import copy
 import datetime
 import json
 import time
@@ -381,10 +380,10 @@ def run_report(result: RunResult) -> dict:
 
 def stable_report(report: dict) -> dict:
     """Report copy with the declared volatile fields removed."""
-    out = copy.deepcopy(report)
+    out = dict(report)
     out.pop("timestamp", None)
-    for key in VOLATILE_STAT_KEYS:
-        out.get("stats", {}).pop(key, None)
+    if "stats" in out:
+        out["stats"] = {k: v for k, v in out["stats"].items() if k not in VOLATILE_STAT_KEYS}
     return out
 
 

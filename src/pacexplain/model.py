@@ -32,7 +32,7 @@ import numpy as np
 
 # `evaluate` stays importable here: bench/tracing.py wraps it in this module
 from .formula import Formula, evaluate, evaluate_mask  # noqa: F401
-from .query import Query, TrueQuery, _loads_json
+from .query import Query, TrueQuery, _finite_number, _loads_json
 
 
 class ModelFormatError(ValueError):
@@ -400,13 +400,6 @@ def _check_manifest(manifest, source: str):
             f"{source}: manifest categorical must map feature names to"
             " {category: finite numeric code} objects"
         )
-
-
-def _finite_number(v) -> bool:
-    try:
-        return isinstance(v, (int, float)) and math.isfinite(v)
-    except OverflowError:  # an int past the float range
-        return False
 
 
 def load_dataset(path: str, manifest: Optional[dict] = None) -> Dataset:

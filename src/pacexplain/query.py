@@ -126,16 +126,32 @@ class CosineBall(Query):
         )
 
 
+def _finite_number(v) -> bool:
+    try:
+        return isinstance(v, (int, float)) and math.isfinite(v)
+    except OverflowError:  # an int past the float range
+        return False
+
+
 def query_from_json(obj: dict, arity: int, names: Optional[Sequence[str]] = None) -> Query:
+    if not isinstance(obj, dict):
+        raise QueryError("query JSON must be an object")
     if "cosine" in obj:
         spec = obj["cosine"]
-        center = spec.get("center")
-        if center is None:
+        if not isinstance(spec, dict) or spec.get("center") is None:
             raise QueryError("cosine query needs a 'center'")
+        center = spec["center"]
+        if not isinstance(center, list) or not all(_finite_number(v) for v in center):
+            raise QueryError("cosine center must be a list of finite numbers")
         if len(center) != arity:
             raise QueryError(f"cosine center has {len(center)} entries, arity is {arity}")
-        return CosineBall(center, spec.get("maxDistance", DEFAULT_COSINE_RADIUS))
+        radius = spec.get("maxDistance", DEFAULT_COSINE_RADIUS)
+        if not _finite_number(radius):
+            raise QueryError("cosine maxDistance must be a number")
+        return CosineBall(center, radius)
     if "formula" in obj:
+        if not isinstance(obj["formula"], str):
+            raise QueryError("query formula must be a string")
         return FormulaQuery(parse(obj["formula"], arity, names), arity)
     raise QueryError("query JSON needs 'formula' or 'cosine'")
 

@@ -612,7 +612,8 @@ class GeneralLearner:
     against the other side. Each conjecture carries a read-only view of the
     clauses' rows, which `evaluate_mask` tests instead of walking the
     clauses; rows are only ever appended, so a later clause leaves the view
-    as it was.
+    as it was, and the verifier's `Draws.mask` tests only the rows added
+    since the last conjecture.
 
     Once the cover fails it stays failed, since the sample only grows.
     """

@@ -21,6 +21,12 @@ evaluates only the candidate's mask on them, and consumes exactly the
 draws it used; the draws it left wait for the next suite. The points each
 suite and the accuracy estimate see are therefore those of drawing them
 one at a time, and nothing is ever drawn twice or rewound.
+
+The general learner's conjectures each extend the last cover by a few
+clauses, and carry those clauses as literal bitsets. The stream keeps, for
+its current block, the literal bitsets of the in-region rows, the clauses
+already folded in and which rows they cover, so each new conjecture tests
+only its new clauses.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .formula import Formula, evaluate, evaluate_mask
+from .formula import Formula, Or, _cover_mask, _literal_words, evaluate, evaluate_mask
 from .model import Model
 from .query import Query
 
@@ -92,6 +98,15 @@ class Draws:
     marks the first k of them used; `take` hands out the rest again. A
     leftover is always a piece of its own block, never joined to a fresh
     one, so the working set stays one block.
+
+    `mask(f)` is f's mask on the in-region rows of the last take. For a
+    cover with literal bitsets, the block keeps a memo: the literal words
+    of all its in-region rows, tested once when the first such cover meets
+    the block; the clause rows folded in so far; and the mask of rows they
+    cover. A cover whose clause rows start with the folded ones folds in
+    only the rest, and any other cover is folded afresh. Folds run over the
+    rows from the piece's first on, since consumed draws are never handed
+    out again. A fresh block drops the memo.
     """
 
     def __init__(
@@ -104,6 +119,8 @@ class Draws:
         self.target_class = target_class
         self._block = None  # X, in-region row indices, those rows, model verdicts
         self._used = 0  # draws of the block consumed so far
+        self._piece = (0, 0)  # the last take's in-region rows, as a slice of the block's
+        self._memo = None  # the block's literal tests, their words, folded clauses, covered
 
     def take(self, limit: int) -> tuple:
         """(X, rows, inside, target): up to `limit` draws as the rows of X,
@@ -116,12 +133,38 @@ class Draws:
             inside = X if len(rows) == len(X) else X[rows]
             self._block = (X, rows, inside, self.model.target_mask(inside, self.target_class))
             self._used = 0
+            self._piece = (0, len(rows))
+            self._memo = None
             return self._block
         X, rows, inside, target = block
         lo = self._used
         hi = min(lo + limit, len(X))
         a, b = np.searchsorted(rows, (lo, hi))
+        self._piece = (a, b)
         return X[lo:hi], rows[a:b] - lo, inside[a:b], target[a:b]
+
+    def mask(self, f: Formula) -> np.ndarray:
+        """`evaluate_mask` of f on the in-region rows of the last `take`,
+        folded into the block's memo when f carries literal bitsets."""
+        a, b = self._piece
+        inside = self._block[2]
+        words = f.__dict__.get("_words") if isinstance(f, Or) else None
+        if words is None:
+            return evaluate_mask(f, inside[a:b])
+        tests, clauses = words
+        memo = self._memo
+        if memo is None or memo[0] is not tests:
+            held = _literal_words(tests, inside, clauses.shape[1])
+            memo = (tests, held, clauses[:0], np.zeros(len(inside), dtype=bool))
+        _, held, folded, covered = memo
+        n = len(folded)
+        if not np.array_equal(clauses[:n], folded):
+            n = 0
+            covered[a:] = False
+        if n < len(clauses):
+            covered[a:] |= _cover_mask(clauses[n:], held[a:])
+        self._memo = (tests, held, clauses, covered)
+        return covered[a:b].copy()
 
     def consume(self, k: int):
         self._used += k
@@ -152,7 +195,7 @@ def verify(
     chunk = _VERIFY_FIRST_CHUNK
     while tested < n and len(counterexamples) < batch_limit:
         X, rows, inside, target = draws.take(min(chunk, n - tested))
-        satisfied = evaluate_mask(f, inside)
+        satisfied = draws.mask(f)
         used, hits = len(X), len(rows)
         for i in np.flatnonzero(satisfied != target).tolist():
             x = draws.distribution.point(inside[i])
@@ -199,7 +242,7 @@ def estimate_query_accuracy(
         X, rows, inside, target = draws.take(min(_ESTIMATE_CHUNK, max_draws - taken))
         k = min(len(rows), n_target - hits)
         used = len(X) if hits + k < n_target else int(rows[k - 1]) + 1
-        agree += int(np.count_nonzero(evaluate_mask(f, inside[:k]) == target[:k]))
+        agree += int(np.count_nonzero(draws.mask(f)[:k] == target[:k]))
         draws.consume(used)
         hits += k
         taken += used

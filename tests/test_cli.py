@@ -336,6 +336,48 @@ def test_deeply_nested_json_exits_one(read, data_dir, tmp_path, capsys):
     _assert_error_line(capsys)
 
 
+@pytest.mark.parametrize(
+    "query",
+    [
+        {"formula": [[]]},
+        {"formula": 3},
+        {"cosine": [1.0] * 16},
+        {"cosine": {"center": 1.0}},
+        {"cosine": {"center": [[]] * 16}},
+        {"cosine": {"center": ["1"] * 16}},
+        {"cosine": {"center": [1.0] * 16, "maxDistance": [0.5]}},
+        {"cosine": {"center": [1.0] * 16, "maxDistance": "0.5"}},
+    ],
+)
+def test_wrong_typed_query_json_exits_one(query, data_dir, capsys):
+    assert main(zoo_args(data_dir, "--query", json.dumps(query))) == 1
+    _assert_error_line(capsys)
+
+
+@pytest.mark.parametrize(
+    "sample",
+    [
+        [],
+        {"entries": {}},
+        {"entries": [[1.0, 0.0]]},
+        {"entries": [{"label": 1}]},
+        {"entries": [{"x": [[]], "label": 1}]},
+        {"entries": [{"x": 1.0, "label": 1}]},
+        {"entries": [{"x": ["1"], "label": 1}]},
+        {"entries": [{"x": [1.0]}]},
+        {"entries": [{"x": [1.0], "label": [1]}]},
+        {"entries": [{"x": [1.0], "label": "1"}]},
+    ],
+)
+def test_wrong_typed_sample_json_exits_one(sample, data_dir, tmp_path, capsys):
+    path = tmp_path / "sample.json"
+    path.write_text(json.dumps(sample))
+    code = main(["export-sygus", "--grammar", str(data_dir / "zoo_grammar.json"),
+                 "--sample", str(path)])
+    assert code == 1
+    _assert_error_line(capsys)
+
+
 def test_empty_grammar_constants_or_ops_exit_one(data_dir, tmp_path, capsys):
     for key, message in (("constants", "at least one constant"), ("ops", "at least one op")):
         path = tmp_path / f"no-{key}.json"

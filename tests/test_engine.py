@@ -101,6 +101,31 @@ def test_stable_report_strips_only_volatile_fields(zoo_tree, zoo_grammar):
     # everything else survives, and the original is untouched
     assert stable["stats"]["iterations"] == report["stats"]["iterations"]
     assert report["stats"]["wallSeconds"] > 0.0
+    before = json.loads(json.dumps(report))
+    stable_report(report)
+    assert report == before
+    assert stable == {
+        **{k: v for k, v in before.items() if k != "timestamp"},
+        "stats": {k: v for k, v in before["stats"].items() if k not in VOLATILE_STAT_KEYS},
+    }
+
+
+def test_stable_report_of_a_deep_tree():
+    # a tree built in Python may be deeper than any recursion limit; its
+    # report's model JSON nests as deep
+    depth = 3000
+    root = {"leaf": "a"}
+    for k in range(depth):
+        root = {"feature": k % 2, "threshold": (k + 1) / (depth + 1), "le": root,
+                "gt": {"leaf": "b" if k % 3 else "a"}}
+    cfg = RunConfig(model=model.DecisionTreeModel(2, ("a", "b"), root), query=TrueQuery(2),
+                    target_class="b", grammar=default_grammar(["real", "real"]), seed=0,
+                    max_iterations=3)
+    report = run_report(explain(cfg))
+    stable = stable_report(report)
+    assert "timestamp" in report and "timestamp" not in stable
+    assert "wallSeconds" in report["stats"] and "wallSeconds" not in stable["stats"]
+    assert stable["config"] == report["config"]
 
 
 def test_report_shape_and_named_rendering(zoo_tree, zoo_grammar, zoo_data):

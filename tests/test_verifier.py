@@ -19,6 +19,7 @@ from pacexplain import (
     UniformBox,
     VerifierOutcome,
     default_distribution,
+    default_grammar,
     estimate_query_accuracy,
     evaluate,
     load_dataset,
@@ -26,6 +27,7 @@ from pacexplain import (
     verify,
     violation_label,
 )
+from pacexplain.synthesizer import GeneralLearner
 
 
 def rng(seed=0):
@@ -340,3 +342,55 @@ def test_verify_working_set_is_bounded(zoo_tree):
         tracemalloc.stop()
     assert out.passed and out.tested_count == n
     assert peak < whole_suite / 5
+
+
+# Covers over one and over two words of literals: the second grammar has
+# 10 * 6 + 3 * 2 = 66 literals.
+MASK_KINDS = {
+    "one-word": ["bool", "real", "bool"],
+    "two-words": ["real"] * 10 + ["bool"] * 3,
+}
+
+
+@pytest.mark.parametrize("name", list(MASK_KINDS))
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_draws_mask_matches_evaluate(name, seed, data):
+    # A run's conjectures, each the last cover plus the cells of a few
+    # recent draws, with one unrelated cover and one formula without
+    # bitsets among them, over takes and consumes that end mid-block and
+    # cross into fresh blocks.
+    kinds = MASK_KINDS[name]
+    d = len(kinds)
+    g = default_grammar(kinds, max_clauses=4096, max_literals_per_clause=2 * d)
+    dist = default_distribution(kinds)
+    tree = {"feature": 1, "threshold": 0.5, "le": {"leaf": "a"}, "gt": {"leaf": "b"}}
+    query = FormulaQuery(parse("(< x1 0.8)", d), d)
+    draws = Draws(dist, rng(seed), query, DecisionTreeModel(d, ("a", "b"), tree), "b")
+    learner, other = GeneralLearner(g), GeneralLearner(g)
+    recent = dist.sample_block(rng(seed + 1), 4)
+    for x in recent[1:]:
+        other.add(x.tolist(), 1)
+    steps = data.draw(st.integers(4, 10))
+    unrelated, plain = data.draw(
+        st.lists(st.integers(1, steps - 1), min_size=2, max_size=2, unique=True)
+    )
+    for step in range(steps):
+        if step == unrelated:
+            f = other.next()
+        elif step == plain:
+            f = parse("(or (< x1 0.25) (and (> x1 0.5) (< x1 0.75)))", d)
+        else:
+            for _ in range(data.draw(st.integers(1, 3))):
+                learner.add(recent[data.draw(st.integers(0, len(recent) - 1))].tolist(), 1)
+            f = learner.next()
+        for _ in range(data.draw(st.integers(1, 3))):
+            recent, _, inside, _ = draws.take(data.draw(st.integers(1, 300)))
+            mask = draws.mask(f)
+            expected = [evaluate(f, tuple(x)) for x in inside]
+            assert mask.tolist() == expected
+            if mask.flags.writeable:
+                mask[:] = ~mask  # a caller's write must not reach the memo
+            draws.take(len(recent))
+            assert draws.mask(f).tolist() == expected
+            draws.consume(data.draw(st.integers(0, len(recent))))
