@@ -22,11 +22,8 @@ from .formula import (
     Not,
     Or,
     compare,
-    disjunct_count,
-    equivalent_on_grid,
     evaluate,
     evaluate_mask,
-    features_of,
     order_key,
     parse,
     render,
@@ -77,7 +74,6 @@ from .synthesizer import (
     default_grammar,
     enumerate_formulas,
     export_sygus_if,
-    is_consistent,
     synthesize,
     synthesize_general,
 )
@@ -87,7 +83,6 @@ from .verifier import (
     estimate_query_accuracy,
     test_suite_size,
     verify,
-    violation_label,
 )
 from .engine import (
     EngineError,
@@ -103,7 +98,6 @@ from .engine import (
     RunConfig,
     RunResult,
     RunStats,
-    check_run_invariants,
     config_from_report,
     explain,
     replay,

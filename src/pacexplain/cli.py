@@ -16,7 +16,7 @@ import os
 import sys
 
 from . import __version__
-from .distribution import distribution_from_json
+from .distribution import Empirical, distribution_from_json
 from .engine import (
     OUTCOME_EXPLANATION,
     OUTCOME_NO_EXPLANATION,
@@ -27,6 +27,7 @@ from .engine import (
     run_report,
     write_report,
 )
+from .formula import render
 from .model import load_dataset, load_manifest, load_model, accuracy_on
 from .query import _finite_number, _loads_json, load_query
 from .synthesizer import Grammar, Sample, default_grammar, export_sygus_if
@@ -167,11 +168,10 @@ def _build_config(args):
         if os.path.exists(text):
             with open(text, "r", encoding="utf-8") as fh:
                 text = fh.read()
-        spec = _loads_json(text, "distribution")
-        if "empirical" in spec:
+        distribution = distribution_from_json(_loads_json(text, "distribution"))
+        if isinstance(distribution, Empirical):
             # the report keeps this path, and replay may run from another directory
-            spec["empirical"]["dataset"] = os.path.abspath(spec["empirical"]["dataset"])
-        distribution = distribution_from_json(spec)
+            distribution.path = os.path.abspath(distribution.path)
 
     query = load_query(args.query, model.arity, names)
     target = _resolve_class(model, args.target_class)
@@ -214,19 +214,26 @@ def _log_run(result):
     )
 
 
-def _print_summary(report: dict, result, data):
-    stats = report["stats"]
+def _explanation_text(result):
+    """The explanation as the report shows it, named when the run has names."""
+    if result.explanation is None:
+        return None
+    return render(result.explanation, result.config.feature_names)
+
+
+def _print_summary(result, data):
+    stats = result.stats
     lines = [
-        f"outcome:      {report['outcome']}"
-        + ("" if report["certified"] else " (no (epsilon, delta) guarantee)"),
-        f"explanation:  {report.get('explanationNamed') or report['explanation']}",
-        f"size:         {stats['size']}",
-        f"iterations:   {stats['iterations']}",
-        f"test inputs:  {stats['testInputs']}",
-        f"sampled accuracy: {stats['accuracy']}",
-        f"time:         {stats['wallSeconds']:.2f}s"
-        f" (learner {stats['learnerSeconds']:.2f}s,"
-        f" verifier {stats['verifierSeconds']:.2f}s)",
+        f"outcome:      {result.outcome}"
+        + ("" if result.certified else " (no (epsilon, delta) guarantee)"),
+        f"explanation:  {_explanation_text(result)}",
+        f"size:         {stats.explanation_size}",
+        f"iterations:   {stats.iterations}",
+        f"test inputs:  {stats.total_test_inputs}",
+        f"sampled accuracy: {stats.accuracy}",
+        f"time:         {stats.wall_seconds:.2f}s"
+        f" (learner {stats.learner_seconds:.2f}s,"
+        f" verifier {stats.verifier_seconds:.2f}s)",
     ]
     if data is not None and result.explanation is not None:
         cfg = result.config
@@ -239,13 +246,14 @@ def _cmd_explain(args) -> int:
     cfg, data = _build_config(args)
     result = explain(cfg)
     _log_run(result)
-    report = run_report(result)
+    if args.out or args.json:
+        report = run_report(result)
     if args.out:
         write_report(report, args.out)
     if args.json:
         print(json.dumps(report, indent=2, sort_keys=True))
     else:
-        _print_summary(report, result, data)
+        _print_summary(result, data)
     return _outcome_exit(result.outcome)
 
 
@@ -261,7 +269,6 @@ def _cmd_bench(args) -> int:
         run_cfg = dataclasses.replace(cfg, seed=args.seed + k)
         result = explain(run_cfg)
         _log_run(result)
-        report = run_report(result)
         outcomes[result.outcome] = outcomes.get(result.outcome, 0) + 1
         dataset_accuracy = None
         if data is not None and result.explanation is not None:
@@ -272,7 +279,7 @@ def _cmd_bench(args) -> int:
             {
                 "seed": run_cfg.seed,
                 "outcome": result.outcome,
-                "explanation": report.get("explanationNamed") or report["explanation"],
+                "explanation": _explanation_text(result),
                 "size": result.stats.explanation_size,
                 "iterations": result.stats.iterations,
                 "testInputs": result.stats.total_test_inputs,
@@ -284,7 +291,7 @@ def _cmd_bench(args) -> int:
             }
         )
         if args.out_dir:
-            write_report(report, os.path.join(args.out_dir, f"run-{run_cfg.seed}.json"))
+            write_report(run_report(result), os.path.join(args.out_dir, f"run-{run_cfg.seed}.json"))
 
     def mean(key):
         values = [r[key] for r in rows if r[key] is not None]

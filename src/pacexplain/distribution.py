@@ -22,6 +22,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .query import _finite_number
+
 
 class DistributionError(ValueError):
     pass
@@ -48,8 +50,10 @@ class Distribution:
 def _categorical(k: int, weights: dict) -> tuple:
     """("categorical", values, probs) with each weight kept beside its value
     and the values sorted ascending as floats."""
-    if not weights:
-        raise DistributionError(f"feature {k}: empty categorical")
+    if not isinstance(weights, dict) or not weights:
+        raise DistributionError(f"feature {k}: categorical needs a non-empty object")
+    if not all(map(_finite_number, weights.values())):
+        raise DistributionError(f"feature {k}: categorical weights must be finite numbers")
     total = float(sum(weights.values()))
     if total <= 0 or any(w < 0 for w in weights.values()):
         raise DistributionError(f"feature {k}: bad categorical weights")
@@ -59,6 +63,8 @@ def _categorical(k: int, weights: dict) -> tuple:
     except (TypeError, ValueError):
         raise DistributionError(f"feature {k}: categorical values must be numbers")
     values = [v for v, _ in pairs]
+    if not all(map(_finite_number, values)):
+        raise DistributionError(f"feature {k}: categorical values must be finite")
     for a, b in zip(values, values[1:]):
         if a == b:
             raise DistributionError(f"feature {k}: two categorical keys name the value {a!r}")
@@ -79,8 +85,10 @@ class ProductPerFeature(Distribution):
             kind = spec[0]
             if kind == "interval":
                 _, lo, hi = spec
-                if lo > hi:
-                    raise DistributionError(f"feature {k}: interval needs lo <= hi")
+                if not (_finite_number(lo) and _finite_number(hi) and lo <= hi):
+                    raise DistributionError(
+                        f"feature {k}: interval needs finite numbers lo <= hi"
+                    )
                 self.specs.append(("interval", float(lo), float(hi)))
             elif kind == "categorical":
                 self.specs.append(_categorical(k, spec[1]))
@@ -180,6 +188,10 @@ class UniformBox(ProductPerFeature):
     """The product of the intervals [lo[j], hi[j]]."""
 
     def __init__(self, lo: Sequence[float], hi: Sequence[float]):
+        if not all(
+            isinstance(b, (list, tuple)) and all(map(_finite_number, b)) for b in (lo, hi)
+        ):
+            raise DistributionError("lo and hi must be lists of finite numbers")
         self.lo = tuple(float(v) for v in lo)
         self.hi = tuple(float(v) for v in hi)
         if len(self.lo) != len(self.hi):
@@ -198,8 +210,8 @@ class Empirical(Distribution):
     """
 
     def __init__(self, dataset, sigma: float, path: Optional[str] = None):
-        if sigma < 0:
-            raise DistributionError("sigma must be >= 0")
+        if not (_finite_number(sigma) and sigma >= 0):
+            raise DistributionError("sigma must be a finite number >= 0")
         if not dataset.rows:
             raise DistributionError("empirical distribution needs a non-empty dataset")
         self.dataset = dataset
@@ -252,15 +264,25 @@ def default_distribution(kinds: Sequence[str]) -> Distribution:
 
 
 def distribution_from_json(obj: dict) -> Distribution:
+    if not isinstance(obj, dict):
+        raise DistributionError("distribution JSON must be an object")
     if "uniformBox" in obj:
         spec = obj["uniformBox"]
+        if not isinstance(spec, dict) or "lo" not in spec or "hi" not in spec:
+            raise DistributionError("uniformBox needs 'lo' and 'hi'")
         return UniformBox(spec["lo"], spec["hi"])
     if "product" in obj:
+        if not isinstance(obj["product"], list):
+            raise DistributionError("product needs a list of per-feature entries")
         specs = []
         for entry in obj["product"]:
+            if not isinstance(entry, dict):
+                raise DistributionError(f"unknown product entry {entry!r}")
             if "interval" in entry:
-                lo, hi = entry["interval"]
-                specs.append(("interval", lo, hi))
+                bounds = entry["interval"]
+                if not isinstance(bounds, list) or len(bounds) != 2:
+                    raise DistributionError(f"interval needs [lo, hi], got {bounds!r}")
+                specs.append(("interval", *bounds))
             elif "categorical" in entry:
                 # keys stay text here, so two that name one value raise
                 specs.append(("categorical", entry["categorical"]))
@@ -269,6 +291,8 @@ def distribution_from_json(obj: dict) -> Distribution:
         return ProductPerFeature(specs)
     if "empirical" in obj:
         spec = obj["empirical"]
+        if not isinstance(spec, dict) or not isinstance(spec.get("dataset"), str):
+            raise DistributionError("empirical needs a 'dataset' path")
         from .model import load_dataset
 
         data = load_dataset(spec["dataset"])

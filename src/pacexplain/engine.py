@@ -29,7 +29,8 @@ import numpy as np
 
 from . import __version__
 from .distribution import Distribution, default_distribution, distribution_from_json
-from .formula import Formula, compare, evaluate, render, size
+# `evaluate` stays importable here: bench/tracing.py wraps it in this module
+from .formula import Formula, compare, evaluate, render, size  # noqa: F401
 from .model import Model, model_from_json
 from .query import Query, _loads_json, query_from_json
 # `synthesize` and `synthesize_general` stay importable here: bench/tracing.py
@@ -43,7 +44,7 @@ from .synthesizer import (  # noqa: F401
     synthesize,
     synthesize_general,
 )
-from .verifier import Draws, estimate_query_accuracy, test_suite_size, verify, violation_label
+from .verifier import Draws, estimate_query_accuracy, verify
 
 OUTCOME_EXPLANATION = "explanation"
 OUTCOME_NO_EXPLANATION = "no-explanation"
@@ -438,75 +439,3 @@ def replay(path: str) -> RunResult:
     if stable_report(fresh) != stable_report(recorded):
         raise ReplayMismatchError("replayed run differs from the recorded report")
     return result
-
-
-# --- invariant checking ---------------------------------------------------
-
-
-def check_run_invariants(result: RunResult):
-    """Re-derive the loop invariants from a finished run's trace.
-
-    Raises EngineInvariantError on the first violation: conjectures must be
-    consistent with the sample they were synthesized from, strictly
-    increasing in the candidate order (occam strategy), counterexamples must
-    lie in the query region, violate the explanation condition for their
-    conjecture, carry the corrective label, and be genuinely new; distinct
-    conjectures must disagree somewhere on the collected points.
-    """
-    cfg = result.config
-    seen = []
-    seen_set = set()
-    conjectures = []
-    previous = None
-    for rec in result.trace:
-        f = rec.conjecture
-        for x, label in seen:
-            if evaluate(f, x) != bool(label):
-                raise EngineInvariantError(
-                    f"iteration {rec.index}: conjecture inconsistent with sample point {x}"
-                )
-        if previous is not None and cfg.strategy == "occam":
-            if compare(previous, f) != -1:
-                raise EngineInvariantError(
-                    f"iteration {rec.index}: conjecture did not increase in order"
-                )
-        for x, label in rec.counterexamples:
-            if not cfg.query.contains(x):
-                raise EngineInvariantError(
-                    f"iteration {rec.index}: counterexample outside the query region"
-                )
-            expected = violation_label(x, f, cfg.query, cfg.target_class, cfg.model)
-            if expected is None:
-                raise EngineInvariantError(
-                    f"iteration {rec.index}: counterexample is not a violation"
-                )
-            if label != expected:
-                raise EngineInvariantError(
-                    f"iteration {rec.index}: counterexample label {label} is wrong"
-                )
-            key = (tuple(x), label)
-            if key in seen_set or (tuple(x), 1 - label) in seen_set:
-                raise EngineInvariantError(
-                    f"iteration {rec.index}: sample did not strictly grow"
-                )
-            seen.append((x, label))
-            seen_set.add(key)
-        previous = f
-        conjectures.append(f)
-    points = [x for x, _ in seen]
-    for i in range(len(conjectures)):
-        for j in range(i + 1, len(conjectures)):
-            if points and all(
-                evaluate(conjectures[i], x) == evaluate(conjectures[j], x)
-                for x in points
-            ):
-                raise EngineInvariantError(
-                    f"conjectures {i + 1} and {j + 1} agree on every collected point"
-                )
-    # suite sizes must follow the schedule
-    for rec in result.trace:
-        expected = test_suite_size(cfg.epsilon, cfg.delta, rec.index)
-        if rec.suite_size != expected:
-            raise EngineInvariantError(
-                f"iteration {rec.index}: suite size {rec.suite_size} != {expected}"
-            )

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -134,10 +134,6 @@ def _canonical_node(cls, children: tuple):
 def size(f: Formula) -> int:
     """Number of literal occurrences; constants count as 1."""
     return order_key(f)[0]
-
-
-def disjunct_count(f: Formula) -> int:
-    return len(f.children) if isinstance(f, Or) else 1
 
 
 def order_key(f: Formula):
@@ -309,17 +305,6 @@ def evaluate_mask(f: Formula, X: np.ndarray) -> np.ndarray:
     raise TypeError(f"not a Formula: {f!r}")
 
 
-def features_of(f: Formula) -> set:
-    """Set of feature indices mentioned in f."""
-    if isinstance(f, (ConstTrue, ConstFalse)):
-        return set()
-    if isinstance(f, (BoolAtom, Atom)):
-        return {f.feature}
-    if isinstance(f, Not):
-        return features_of(f.child)
-    return set().union(*(features_of(c) for c in f.children))
-
-
 def _render_number(c: float) -> str:
     return repr(float(c))
 
@@ -347,11 +332,6 @@ def render(f: Formula, names: Optional[Sequence[str]] = None) -> str:
     if isinstance(f, Or):
         return "(or " + " ".join(render(c, names) for c in f.children) + ")"
     raise TypeError(f"not a Formula: {f!r}")
-
-
-def equivalent_on_grid(f1: Formula, f2: Formula, grid: Iterable[Sequence[float]]) -> bool:
-    """True when f1 and f2 agree on every grid point."""
-    return all(evaluate(f1, x) == evaluate(f2, x) for x in grid)
 
 
 # --- parsing ---------------------------------------------------------------

@@ -113,25 +113,6 @@ class DecisionTreeModel(Model):
             "root": self.root,
         }
 
-    def positive_paths(self, target_class) -> list:
-        """Root-to-leaf constraint lists for leaves labeled target_class.
-
-        Each path is a list of (feature, "<="|">", threshold) triples.
-        """
-        paths = []
-
-        def walk(node, constraints):
-            if "leaf" in node:
-                if node["leaf"] == target_class:
-                    paths.append(list(constraints))
-                return
-            j, t = node["feature"], node["threshold"]
-            walk(node["le"], constraints + [(j, "<=", t)])
-            walk(node["gt"], constraints + [(j, ">", t)])
-
-        walk(self.root, [])
-        return paths
-
 
 def _flatten_tree(root, arity: int, classes: set) -> tuple:
     """Validate a tree and compile it in one breadth-first walk.

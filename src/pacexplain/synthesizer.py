@@ -68,10 +68,12 @@ from .formula import (
     _cover_mask,
     _literal_test,
     _literal_words,
-    evaluate,
     order_key,
     size,
 )
+# `evaluate` stays importable here: bench/tracing.py wraps it in this module
+from .formula import evaluate  # noqa: F401
+from .query import _finite_number
 
 DEFAULT_CONSTANTS = (0.25, 0.5, 0.75)
 GRAMMAR_OPS = ("<", ">")
@@ -79,6 +81,10 @@ GRAMMAR_OPS = ("<", ">")
 
 class GrammarError(ValueError):
     pass
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
 
 
 class InconsistentSampleError(ValueError):
@@ -99,8 +105,8 @@ class GrammarFeature:
     name: Optional[str] = None
 
     def __post_init__(self):
-        if self.index < 0:
-            raise GrammarError(f"negative feature index {self.index}")
+        if not _is_int(self.index) or self.index < 0:
+            raise GrammarError(f"feature index must be an integer >= 0, got {self.index!r}")
         if self.kind == "bool":
             object.__setattr__(self, "constants", ())
             object.__setattr__(self, "ops", ())
@@ -108,10 +114,13 @@ class GrammarFeature:
         if self.kind != "real":
             raise GrammarError(f"unknown feature kind {self.kind!r}")
         constants = DEFAULT_CONSTANTS if self.constants is None else self.constants
+        ops = GRAMMAR_OPS if self.ops is None else self.ops
+        if not isinstance(constants, (list, tuple)) or not all(map(_finite_number, constants)):
+            raise GrammarError("grammar constants must be a list of finite numbers")
+        if not isinstance(ops, (list, tuple)) or not all(op in GRAMMAR_OPS for op in ops):
+            raise GrammarError(f"grammar ops must be a list of ops from {GRAMMAR_OPS}")
         constants = tuple(float(c) for c in constants)
-        ops = tuple(GRAMMAR_OPS if self.ops is None else self.ops)
-        if not set(ops) <= set(GRAMMAR_OPS):
-            raise GrammarError(f"grammar ops must be a subset of {GRAMMAR_OPS}")
+        ops = tuple(ops)
         if not ops:
             raise GrammarError("real feature needs at least one op")
         if not constants:
@@ -133,8 +142,11 @@ class Grammar:
 
     def __post_init__(self):
         feats = tuple(self.features)
-        if self.max_clauses < 1 or self.max_literals_per_clause < 1:
-            raise GrammarError("clause and literal bounds must be >= 1")
+        bounds = (self.max_clauses, self.max_literals_per_clause)
+        if not all(_is_int(b) and b >= 1 for b in bounds):
+            raise GrammarError("clause and literal bounds must be integers >= 1")
+        if not isinstance(self.include_constants, bool):
+            raise GrammarError("grammar 'constants' must be true or false")
         seen = set()
         for f in feats:
             if not isinstance(f, GrammarFeature):
@@ -194,12 +206,16 @@ class Grammar:
 
     @staticmethod
     def from_json(obj: dict, feature_names: Optional[Sequence[str]] = None) -> "Grammar":
-        if "features" not in obj:
-            raise GrammarError("grammar JSON missing 'features'")
+        if not isinstance(obj, dict) or "features" not in obj:
+            raise GrammarError("grammar JSON must be an object with 'features'")
+        if not isinstance(obj["features"], list) or not all(
+            isinstance(entry, dict) for entry in obj["features"]
+        ):
+            raise GrammarError("grammar 'features' must be a list of objects")
         feats = []
         for pos, entry in enumerate(obj["features"]):
             if "index" in entry:
-                index = int(entry["index"])
+                index = entry["index"]
             elif "name" in entry and feature_names is not None:
                 try:
                     index = list(feature_names).index(entry["name"])
@@ -220,9 +236,9 @@ class Grammar:
             )
         return Grammar(
             features=tuple(feats),
-            max_clauses=int(obj.get("maxClauses", 2)),
-            max_literals_per_clause=int(obj.get("maxLiteralsPerClause", 4)),
-            include_constants=bool(obj.get("constants", True)),
+            max_clauses=obj.get("maxClauses", 2),
+            max_literals_per_clause=obj.get("maxLiteralsPerClause", 4),
+            include_constants=obj.get("constants", True),
         )
 
 
@@ -231,7 +247,6 @@ def default_grammar(
     names: Optional[Sequence[str]] = None,
     max_clauses: int = 2,
     max_literals_per_clause: int = 4,
-    constants: Sequence[float] = DEFAULT_CONSTANTS,
 ) -> Grammar:
     feats = []
     for j, kind in enumerate(kinds):
@@ -239,7 +254,7 @@ def default_grammar(
         if kind == "bool":
             feats.append(GrammarFeature(j, "bool", name=name))
         else:
-            feats.append(GrammarFeature(j, "real", tuple(constants), GRAMMAR_OPS, name))
+            feats.append(GrammarFeature(j, "real", DEFAULT_CONSTANTS, GRAMMAR_OPS, name))
     return Grammar(tuple(feats), max_clauses, max_literals_per_clause, True)
 
 
@@ -283,10 +298,6 @@ class Sample:
 
     def __iter__(self):
         return iter(self._entries)
-
-
-def is_consistent(f: Formula, sample: Sample) -> bool:
-    return all(evaluate(f, x) == bool(label) for x, label in sample)
 
 
 # --- ordered candidate stream ------------------------------------------------
@@ -720,6 +731,14 @@ def export_sygus_if(
             arity = max(f.index for f in g.features) + 1
         else:
             raise GrammarError("cannot infer arity for export")
+    for x, _ in sample:
+        if len(x) != arity:
+            raise ValueError(f"sample point {x} has {len(x)} values, arity is {arity}")
+    for f in g.features:
+        if f.index >= arity:
+            raise GrammarError(f"grammar feature index {f.index} exceeds arity {arity}")
+    if feature_names is not None and len(feature_names) < arity:
+        raise ValueError(f"{len(feature_names)} feature names for arity {arity}")
 
     def var(j: int) -> str:
         if feature_names is not None:

@@ -37,7 +37,8 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .formula import Formula, Or, _cover_mask, _literal_words, evaluate, evaluate_mask
+# `evaluate` stays importable here: bench/tracing.py wraps it in this module
+from .formula import Formula, Or, _cover_mask, _literal_words, evaluate, evaluate_mask  # noqa: F401
 from .model import Model
 from .query import Query
 
@@ -71,23 +72,6 @@ def test_suite_size(epsilon: float, delta: float, iteration: int) -> int:
     if iteration < 1 or int(iteration) != iteration:
         raise ValueError(f"iteration must be a positive integer, got {iteration}")
     return math.ceil((iteration * math.log(2.0) - math.log(delta)) / epsilon)
-
-
-def violation_label(
-    x, f: Formula, query: Query, target_class, model: Model
-) -> Optional[int]:
-    """None when x is no violation; else the corrected label for x.
-
-    0: x satisfies f but the model does not predict the target class.
-    1: x falsifies f but the model does predict the target class.
-    """
-    if not query.contains(x):
-        return None
-    satisfied = evaluate(f, x)
-    is_target = model.classify(x) == target_class
-    if satisfied == is_target:
-        return None
-    return 0 if satisfied else 1
 
 
 class Draws:

@@ -28,20 +28,18 @@ from pacexplain import (
     TrueQuery,
     UniformBox,
     accuracy_on,
-    check_run_invariants,
     default_grammar,
     enumerate_formulas,
-    equivalent_on_grid,
     evaluate,
     explain,
-    features_of,
-    is_consistent,
     model_from_json,
     parse,
     render,
     synthesize,
 )
 from pacexplain import test_suite_size as suite_size
+
+from reference import check_run_invariants, equivalent_on_grid, features_of, is_consistent
 
 FULL_ZOO = "true"
 

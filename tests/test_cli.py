@@ -12,6 +12,7 @@ import subprocess
 import pytest
 
 from pacexplain import load_dataset, save_manifest, stable_report
+from pacexplain import cli
 from pacexplain.cli import main
 
 
@@ -378,6 +379,52 @@ def test_wrong_typed_sample_json_exits_one(sample, data_dir, tmp_path, capsys):
     _assert_error_line(capsys)
 
 
+def iris_args(data_dir, *extra):
+    return ["explain", "--model", str(data_dir / "mlp_iris.json"), "--class", "virginica",
+            *extra]
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        # NaN and infinite bounds once gave a certified `false`
+        {"uniformBox": {"lo": [0, 0, 0, math.nan], "hi": [1, 1, 1, 1]}},
+        {"product": [{"interval": [0, 1]}] * 3 + [{"interval": [0, math.inf]}]},
+        {"uniformBox": {"lo": 1, "hi": 2}},
+        {"uniformBox": {"lo": [0, 0, 0, 0]}},
+        {"product": 3},
+        {"product": [{"categorical": {"0": "x"}}]},
+        {"empirical": 5},
+        {"empirical": {}},
+        {"empirical": {"dataset": "IRIS", "sigma": math.nan}},
+        5,
+    ],
+)
+def test_wrong_typed_or_non_finite_distribution_exits_one(spec, data_dir, capsys):
+    text = json.dumps(spec).replace("IRIS", str(data_dir / "iris.csv"))
+    assert main(iris_args(data_dir, "--distribution", text)) == 1
+    _assert_error_line(capsys)
+
+
+@pytest.mark.parametrize(
+    "grammar",
+    [
+        {"features": [{"index": 1.7, "kind": "real"}]},
+        {"features": [{"index": True, "kind": "real"}]},
+        {"features": [{"index": 0, "kind": "real", "constants": [math.nan]}]},
+        {"features": [{"index": 0, "kind": "real", "ops": "<>"}]},
+        {"features": [{"index": 0, "kind": "real"}], "constants": "false"},
+        {"features": [{"index": 0, "kind": "real"}], "maxClauses": 2.9},
+        {"features": 0},
+        5,
+    ],
+)
+def test_wrong_typed_grammar_json_exits_one(grammar, data_dir, tmp_path, capsys):
+    path = tmp_path / "grammar.json"
+    path.write_text(json.dumps(grammar))
+    assert main(iris_args(data_dir, "--grammar", str(path))) == 1
+    _assert_error_line(capsys)
+
 def test_empty_grammar_constants_or_ops_exit_one(data_dir, tmp_path, capsys):
     for key, message in (("constants", "at least one constant"), ("ops", "at least one op")):
         path = tmp_path / f"no-{key}.json"
@@ -520,6 +567,44 @@ def test_export_sygus_names_from_dataset_or_manifest(data_dir, tmp_path, capsys)
     assert "(not (= breathes 1.0))" in texts[0]
     assert "(hair Real)" in texts[0]
 
+
+@pytest.mark.parametrize(
+    "xs, index, names",
+    [
+        ([[0.1, 0.2, 0.3], [0.4]], 0, None),  # points of the wrong width
+        ([[0.1, 0.2]], 5, None),  # a literal over a feature past the arity
+        ([[0.1, 0.2]], 0, ["a"]),  # fewer names than features
+    ],
+)
+def test_export_sygus_rejects_an_instance_it_cannot_write(xs, index, names, tmp_path, capsys):
+    grammar = tmp_path / "grammar.json"
+    grammar.write_text(json.dumps({"features": [{"index": index, "kind": "real"}]}))
+    sample = tmp_path / "sample.json"
+    sample.write_text(json.dumps({"entries": [{"x": x, "label": 1} for x in xs]}))
+    argv = ["export-sygus", "--grammar", str(grammar), "--sample", str(sample), "--arity", "2"]
+    if names is not None:
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps({
+            "featureNames": names, "kinds": ["real"] * len(names),
+            "bounds": [[0.0, 1.0]] * len(names), "categorical": {}, "classes": ["x"],
+        }))
+        argv += ["--manifest", str(manifest)]
+    assert main(argv) == 1
+    _assert_error_line(capsys)
+
+
+def test_summaries_build_no_report(data_dir, tmp_path, capsys, monkeypatch):
+    # without --out, --json or --out-dir the commands print from the run itself
+    def no_report(result):
+        raise AssertionError("run_report called")
+
+    monkeypatch.setattr(cli, "run_report", no_report)
+    assert main(zoo_args(data_dir, "--dataset", str(data_dir / "zoo.csv"))) == 0
+    assert "explanation:  (and fins (not breathes))" in capsys.readouterr().out
+    argv = zoo_args(data_dir, "--runs", "2")
+    argv[0] = "bench"
+    assert main(argv) == 0
+    assert "outcomes:     {'explanation': 2}" in capsys.readouterr().out
 
 def test_version_and_help_exit_zero(capsys):
     assert main(["--version"]) == 0

@@ -116,6 +116,30 @@ def test_product_validation():
         ProductPerFeature([("gaussian", 0, 1)])
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"uniformBox": {"lo": [0, 0, 0, math.nan], "hi": [1, 1, 1, 1]}},
+        {"uniformBox": {"lo": 1, "hi": 2}},
+        {"uniformBox": {"lo": [0, 0, 0, 0]}},
+        {"product": 3},
+        {"product": [3]},
+        {"product": [{"interval": [0, math.inf]}]},
+        {"product": [{"interval": [0]}]},
+        {"product": [{"categorical": {"0": "x"}}]},
+        {"product": [{"categorical": {"0": math.nan}}]},
+        {"product": [{"categorical": {"nan": 1}}]},
+        {"product": [{"categorical": [1, 2]}]},
+        {"empirical": 5},
+        {"empirical": {}},
+        5,
+    ],
+)
+def test_wrong_typed_or_non_finite_json_raises(spec):
+    with pytest.raises(DistributionError):
+        distribution_from_json(spec)
+
+
 def test_empirical_perturbs_reals_only(tmp_path):
     path = tmp_path / "d.csv"
     path.write_text(
@@ -139,8 +163,9 @@ def test_empirical_validation(tmp_path):
     path = tmp_path / "d.csv"
     path.write_text("a,class\n1,x\n2,y\n", encoding="utf-8")
     data = load_dataset(str(path))
-    with pytest.raises(DistributionError):
-        Empirical(data, sigma=-0.5)
+    for sigma in (-0.5, math.nan, math.inf, "0.1", None):
+        with pytest.raises(DistributionError):
+            Empirical(data, sigma=sigma)
     quiet = Empirical(data, sigma=0.1)
     with pytest.raises(DistributionError):
         quiet.to_json()

@@ -28,7 +28,6 @@ from pacexplain import (
     SynthesisDeadlineError,
     TrueQuery,
     UniformBox,
-    check_run_invariants,
     config_from_report,
     default_distribution,
     default_grammar,
@@ -44,6 +43,7 @@ from pacexplain import engine, formula, model, query, synthesizer, verifier
 from pacexplain.engine import VOLATILE_STAT_KEYS
 
 from golden import bool3_tree
+from reference import check_run_invariants
 
 
 def zoo_config(zoo_tree, zoo_grammar, query_text="true", **kw):

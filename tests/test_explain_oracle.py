@@ -22,13 +22,12 @@ from pacexplain import (
     RunConfig,
     Sample,
     TrueQuery,
-    check_run_invariants,
     explain,
-    is_consistent,
     render,
 )
 
 from brute_force import brute_force_class
+from reference import check_run_invariants, is_consistent
 
 RUNS = 300
 MAX_CLASS = 20_000

