@@ -350,6 +350,7 @@ def _cmd_export(args) -> int:
             and isinstance(entry.get("x"), list)
             and all(_finite_number(v) for v in entry["x"])
             and entry.get("label") in (0, 1)
+            and not isinstance(entry["label"], bool)
         ):
             raise CliError(
                 f"{args.sample}: each sample entry needs 'x', a list of finite numbers,"

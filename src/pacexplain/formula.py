@@ -310,7 +310,16 @@ def _render_number(c: float) -> str:
 
 
 def render(f: Formula, names: Optional[Sequence[str]] = None) -> str:
-    """Canonical s-expression text. `names` substitutes feature names."""
+    """Canonical s-expression text. `names` substitutes feature names.
+
+    Without names, a composite node's text is kept on the node, like its
+    order key: formulas that share subterms, as the general learner's
+    conjectures share their clauses, render each of them once.
+    """
+    if names is None:
+        text = getattr(f, "_text", None)
+        if text is not None:
+            return text
 
     def var(j: int) -> str:
         if names is not None:
@@ -326,12 +335,16 @@ def render(f: Formula, names: Optional[Sequence[str]] = None) -> str:
     if isinstance(f, Atom):
         return f"({f.op} {var(f.feature)} {_render_number(f.constant)})"
     if isinstance(f, Not):
-        return f"(not {render(f.child, names)})"
-    if isinstance(f, And):
-        return "(and " + " ".join(render(c, names) for c in f.children) + ")"
-    if isinstance(f, Or):
-        return "(or " + " ".join(render(c, names) for c in f.children) + ")"
-    raise TypeError(f"not a Formula: {f!r}")
+        text = f"(not {render(f.child, names)})"
+    elif isinstance(f, And):
+        text = "(and " + " ".join(render(c, names) for c in f.children) + ")"
+    elif isinstance(f, Or):
+        text = "(or " + " ".join(render(c, names) for c in f.children) + ")"
+    else:
+        raise TypeError(f"not a Formula: {f!r}")
+    if names is None:
+        object.__setattr__(f, "_text", text)
+    return text
 
 
 # --- parsing ---------------------------------------------------------------

@@ -127,8 +127,9 @@ class CosineBall(Query):
 
 
 def _finite_number(v) -> bool:
+    """Whether v is a finite int or float; a bool, though an int, is not."""
     try:
-        return isinstance(v, (int, float)) and math.isfinite(v)
+        return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
     except OverflowError:  # an int past the float range
         return False
 

@@ -135,6 +135,13 @@ class GrammarFeature:
 
 @dataclass(frozen=True)
 class Grammar:
+    """A class of DNFs: each feature's literal pool and the clause bounds.
+
+    Immutable. What is derived from it, the literals, their tests and its
+    hash, is built once and kept on the grammar, since `_cell_clause`'s
+    cache hashes it on every lookup.
+    """
+
     features: tuple
     max_clauses: int = 2
     max_literals_per_clause: int = 4
@@ -157,6 +164,15 @@ class Grammar:
         object.__setattr__(
             self, "features", tuple(sorted(feats, key=lambda f: f.index))
         )
+
+    def __hash__(self) -> int:
+        """The fields' hash, computed once."""
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = hash((self.features, self.max_clauses, self.max_literals_per_clause,
+                      self.include_constants))
+            object.__setattr__(self, "_hash", h)
+        return h
 
     def literals(self) -> list:
         """All grammar literals, sorted by candidate order.
@@ -624,15 +640,20 @@ class GeneralLearner:
     clauses' rows, which `evaluate_mask` tests instead of walking the
     clauses; rows are only ever appended, so a later clause leaves the view
     as it was, and the verifier's `Draws.mask` tests only the rows added
-    since the last conjecture.
+    since the last conjecture, trusting a longer view of the same buffer to
+    start with the rows of a shorter one.
 
-    Once the cover fails it stays failed, since the sample only grows.
+    The clauses stay sorted by order key beside a list of their keys, which
+    a new clause is placed in by bisection and whose equal key marks a
+    duplicate. Once the cover fails it stays failed, since the sample only
+    grows.
     """
 
     def __init__(self, g: Grammar):
         self._g = g
         self._tests = g.literal_tests()
         self._clauses = []  # sorted by order key, which is Or's order
+        self._keys = []  # the clauses' order keys
         width = _word_count(g)
         self._words = np.zeros((8, width), dtype="<u8")  # the clauses, in order added
         self._negatives = np.zeros((0, width), dtype="<u8")
@@ -649,18 +670,20 @@ class GeneralLearner:
             self._failed = bool(_cover_mask(self._words[:len(self._clauses)], row)[0])
             return
         g = self._g
-        clauses = self._clauses
+        keys = self._keys
         clause, words = _cell_clause(g, _cell_signature(g, x))
-        place = bisect.bisect_left(clauses, order_key(clause), key=order_key)
-        if place < len(clauses) and clauses[place] == clause:
+        key = order_key(clause)
+        place = bisect.bisect_left(keys, key)
+        if place < len(keys) and keys[place] == key:
             return
-        n = len(clauses)
+        n = len(keys)
         self._failed = (
             size(clause) > g.max_literals_per_clause
             or n == g.max_clauses
             or bool(len(self._negatives) and _cover_mask(words[None], self._negatives).any())
         )
-        clauses.insert(place, clause)
+        self._clauses.insert(place, clause)
+        keys.insert(place, key)
         if n == len(self._words):  # views handed out keep the old buffer
             self._words = np.concatenate([self._words, np.zeros_like(self._words)])
         self._words[n] = words

@@ -42,10 +42,8 @@ from .formula import Formula, Or, _cover_mask, _literal_words, evaluate, evaluat
 from .model import Model
 from .query import Query
 
-# Chunk sizes in draws. A refuted candidate usually fails within a few
-# draws, so verify chunks start small and double; the cap bounds the
-# working set of long suites.
-_VERIFY_FIRST_CHUNK = 64
+# Chunk sizes in draws. A verify piece is the rest of its suite, up to the
+# cap, which bounds the working set of long suites.
 _VERIFY_MAX_CHUNK = 4096
 _ESTIMATE_CHUNK = 512
 
@@ -88,9 +86,12 @@ class Draws:
     of all its in-region rows, tested once when the first such cover meets
     the block; the clause rows folded in so far; and the mask of rows they
     cover. A cover whose clause rows start with the folded ones folds in
-    only the rest, and any other cover is folded afresh. Folds run over the
-    rows from the piece's first on, since consumed draws are never handed
-    out again. A fresh block drops the memo.
+    only the rest, and any other cover is folded afresh. Rows that view the
+    same buffer as the folded ones, and are no fewer, start with them
+    without a check: `GeneralLearner` only appends rows to its buffer and
+    never rewrites one. Any other cover is compared row for row. Folds run
+    over the rows from the piece's first on, since consumed draws are never
+    handed out again. A fresh block drops the memo.
     """
 
     def __init__(
@@ -142,7 +143,8 @@ class Draws:
             memo = (tests, held, clauses[:0], np.zeros(len(inside), dtype=bool))
         _, held, folded, covered = memo
         n = len(folded)
-        if not np.array_equal(clauses[:n], folded):
+        same_buffer = folded.base is clauses.base is not None and n <= len(clauses)
+        if not (same_buffer or np.array_equal(clauses[:n], folded)):
             n = 0
             covered[a:] = False
         if n < len(clauses):
@@ -165,10 +167,13 @@ def verify(
     """Test f on a fresh suite; fail with up to batch_limit counterexamples.
 
     The suite is the next draws of `draws`, so a fixed generator state
-    yields a fixed outcome. The suite is cut short once batch_limit
-    distinct violations have been collected; a repeated one is skipped but
-    its draw still counts. A pass consumes the full suite; a cut consumes
-    the draws up to the one that completed the batch.
+    yields a fixed outcome. Each piece takes the rest of the suite, up to
+    `_VERIFY_MAX_CHUNK` draws: what is left of the stream's block, or else
+    a fresh block, so a passing suite draws nothing past its end. The
+    suite is cut short once batch_limit distinct violations have been
+    collected; a repeated one is skipped but its draw still counts. A pass
+    consumes the full suite; a cut consumes the draws up to the one that
+    completed the batch.
     """
     if batch_limit < 1:
         raise ValueError("batch_limit must be >= 1")
@@ -176,9 +181,8 @@ def verify(
     counterexamples = {}  # point -> label, in draw order
     tested = 0
     in_region = 0
-    chunk = _VERIFY_FIRST_CHUNK
     while tested < n and len(counterexamples) < batch_limit:
-        X, rows, inside, target = draws.take(min(chunk, n - tested))
+        X, rows, inside, target = draws.take(min(_VERIFY_MAX_CHUNK, n - tested))
         satisfied = draws.mask(f)
         used, hits = len(X), len(rows)
         for i in np.flatnonzero(satisfied != target).tolist():
@@ -192,7 +196,6 @@ def verify(
         draws.consume(used)
         tested += used
         in_region += hits
-        chunk = min(2 * chunk, _VERIFY_MAX_CHUNK)
     return VerifierOutcome(
         passed=not counterexamples,
         tested_count=tested,

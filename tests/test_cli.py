@@ -368,6 +368,7 @@ def test_wrong_typed_query_json_exits_one(query, data_dir, capsys):
         {"entries": [{"x": [1.0]}]},
         {"entries": [{"x": [1.0], "label": [1]}]},
         {"entries": [{"x": [1.0], "label": "1"}]},
+        {"entries": [{"x": [1.0], "label": True}]},
     ],
 )
 def test_wrong_typed_sample_json_exits_one(sample, data_dir, tmp_path, capsys):
@@ -424,6 +425,30 @@ def test_wrong_typed_grammar_json_exits_one(grammar, data_dir, tmp_path, capsys)
     path.write_text(json.dumps(grammar))
     assert main(iris_args(data_dir, "--grammar", str(path))) == 1
     _assert_error_line(capsys)
+
+@pytest.mark.parametrize(
+    "read", ["box-bounds", "grammar-constants", "cosine-center", "sample-x", "categorical-weights"],
+)
+def test_json_booleans_are_not_numbers(read, data_dir, tmp_path, capsys):
+    # JSON true and false are no numbers, though Python's bool is an int
+    grammar = tmp_path / "grammar.json"
+    grammar.write_text(json.dumps({"features": [{"index": 0, "kind": "real", "constants": [True]}]}))
+    sample = tmp_path / "sample.json"
+    sample.write_text(json.dumps({"entries": [{"x": [True] + [0.0] * 15, "label": 1}]}))
+    weights = {"product": [{"categorical": {"0": True, "1": 1.0}}] + [{"interval": [0, 1]}] * 3}
+    argv = {
+        "box-bounds": iris_args(data_dir, "--distribution",
+                                json.dumps({"uniformBox": {"lo": [False] * 4, "hi": [True] * 4}})),
+        "grammar-constants": iris_args(data_dir, "--grammar", str(grammar)),
+        "cosine-center": iris_args(data_dir, "--query",
+                                   json.dumps({"cosine": {"center": [True] * 4}})),
+        "sample-x": ["export-sygus", "--grammar", str(data_dir / "zoo_grammar.json"),
+                     "--sample", str(sample)],
+        "categorical-weights": iris_args(data_dir, "--distribution", json.dumps(weights)),
+    }[read]
+    assert main(argv) == 1
+    _assert_error_line(capsys)
+
 
 def test_empty_grammar_constants_or_ops_exit_one(data_dir, tmp_path, capsys):
     for key, message in (("constants", "at least one constant"), ("ops", "at least one op")):

@@ -350,6 +350,38 @@ def test_render_numbers_use_repr():
     assert render(Atom(0, "=", 2)) == "(= x0 2.0)"
 
 
+def plain_render(f, names=None):
+    """The s-expression text of f, built node by node with nothing kept."""
+    if f == TRUE or f == FALSE:
+        return "true" if f == TRUE else "false"
+    if isinstance(f, (BoolAtom, Atom)):
+        var = names[f.feature] if names else f"x{f.feature}"
+        return var if isinstance(f, BoolAtom) else f"({f.op} {var} {f.constant!r})"
+    if isinstance(f, Not):
+        return f"(not {plain_render(f.child, names)})"
+    head = "and" if isinstance(f, And) else "or"
+    return f"({head} " + " ".join(plain_render(c, names) for c in f.children) + ")"
+
+
+@given(st.lists(clauses, min_size=1, max_size=6), st.data())
+@settings(max_examples=60)
+def test_render_of_shared_subterms_matches_a_plain_render(pool, data):
+    # formulas built over shared node objects, as a general trace's
+    # conjectures share their clauses, render as a node-by-node render
+    # does, whichever of them renders first, with names and without
+    names = ["hair", "feathers", "eggs", "milk"]
+    nodes = list(pool)
+    for _ in range(data.draw(st.integers(1, 8))):
+        kids = data.draw(st.lists(st.sampled_from(nodes), min_size=1, max_size=4))
+        op = data.draw(st.sampled_from((And, Or)))
+        f = Not(kids[0]) if len(kids) == 1 else op(tuple(kids))
+        nodes.append(f)
+        for g in data.draw(st.lists(st.sampled_from(nodes), min_size=1, max_size=3)):
+            use = data.draw(st.sampled_from((None, names)))
+            assert render(g, use) == plain_render(g, use)
+            assert str(g) == plain_render(g)
+
+
 def test_render_with_names():
     names = ["hair", "feathers", "eggs", "milk"]
     f = parse("(and milk (not feathers))", 4, names)

@@ -674,22 +674,33 @@ class ScalarCover:
 
 
 # room for more clauses and literals than ALL_OPS, and 68 literals, whose
-# bitsets take two words
+# bitsets take two words; MANY has room for more clauses than the learner's
+# first buffer of 8 rows
 ROOMY = Grammar(ALL_OPS.features, max_clauses=6, max_literals_per_clause=6)
 WIDE = default_grammar(["real"] * 11 + ["bool"], max_clauses=6, max_literals_per_clause=24)
+MANY = default_grammar(["real"] * 11 + ["bool"], max_clauses=40, max_literals_per_clause=24)
 
 
-@pytest.mark.parametrize("g", [ALL_OPS, ROOMY, WIDE], ids=["all-ops", "roomy", "wide"])
+@pytest.mark.parametrize(
+    "g", [ALL_OPS, ROOMY, WIDE, MANY], ids=["all-ops", "roomy", "wide", "many"]
+)
 @given(st.data())
 @settings(max_examples=60, deadline=None)
 def test_general_learner_fails_as_the_scalar_cover_does(g, data):
-    point = st.tuples(*[ON_CONSTANTS] * (g.features[-1].index + 1))
-    entries = data.draw(st.lists(st.tuples(point, st.sampled_from((0, 1, 1))), max_size=10))
+    # the learner's clauses also stay in strictly increasing order key,
+    # beside their keys
+    coordinate = ON_CONSTANTS if g is not MANY else st.one_of(ON_CONSTANTS, st.floats(0, 1))
+    point = st.tuples(*[coordinate] * (g.features[-1].index + 1))
+    size = 10 if g is not MANY else 40
+    entries = data.draw(st.lists(st.tuples(point, st.sampled_from((0, 1, 1))), max_size=size))
     learner, scalar = GeneralLearner(g), ScalarCover(g)
     for x, label in entries:
         learner.add(x, label)
         scalar.add(x, label)
         assert learner.next() == scalar.next()
+        keys = [order_key(c) for c in learner._clauses]
+        assert all(a < b for a, b in zip(keys, keys[1:]))
+        assert learner._keys == keys
 
 
 @pytest.mark.parametrize("g", [CELL_G, WIDE], ids=["one-feature", "wide"])

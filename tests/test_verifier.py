@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -26,6 +27,7 @@ from pacexplain import (
     parse,
     verify,
 )
+from pacexplain import verifier
 from pacexplain.synthesizer import GeneralLearner
 
 from reference import violation_label
@@ -275,7 +277,7 @@ def _cases(zoo_tree, iris_mlp, data_dir):
     iris = Empirical(load_dataset(str(data_dir / "iris.csv")), sigma=0.05)
     ball = CosineBall((0.6, 0.4, 0.8, 0.8), 0.5)
     return {
-        # wrong on about 1 draw in 128, so cuts land past the first chunks
+        # wrong on about 1 draw in 128, so a cut lands well inside its suite
         "zoo-rare": (
             parse("(and x11 (not x9) (not (and x0 x1 x2 x3 x4)))", 16),
             zoo_tree, TrueQuery(16), "fish", BOOL16,
@@ -353,14 +355,24 @@ MASK_KINDS = {
 }
 
 
+def _cell_points(kinds):
+    """A point in each cell of `default_grammar(kinds)`'s constant grid,
+    those on a constant among them, lazily."""
+    values = [(0.0, 1.0) if kind == "bool" else tuple(np.linspace(0, 1, 9)) for kind in kinds]
+    return (list(x) for x in itertools.product(*values))
+
+
 @pytest.mark.parametrize("name", list(MASK_KINDS))
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), data=st.data())
 def test_draws_mask_matches_evaluate(name, seed, data):
     # A run's conjectures, each the last cover plus the cells of a few
-    # recent draws, with one unrelated cover and one formula without
-    # bitsets among them, over takes and consumes that end mid-block and
-    # cross into fresh blocks.
+    # recent draws, over takes and consumes that end mid-block and cross
+    # into fresh blocks. Among them: a step after which the learner's rows
+    # live in a doubled buffer; two covers of another learner over the same
+    # grammar; the learner's last conjecture again, right after the one that
+    # extends it, as the post-run estimate evaluates it after a timeout; and
+    # a formula without bitsets.
     kinds = MASK_KINDS[name]
     d = len(kinds)
     g = default_grammar(kinds, max_clauses=4096, max_literals_per_clause=2 * d)
@@ -370,28 +382,66 @@ def test_draws_mask_matches_evaluate(name, seed, data):
     draws = Draws(dist, rng(seed), query, DecisionTreeModel(d, ("a", "b"), tree), "b")
     learner, other = GeneralLearner(g), GeneralLearner(g)
     recent = dist.sample_block(rng(seed + 1), 4)
-    for x in recent[1:]:
-        other.add(x.tolist(), 1)
-    steps = data.draw(st.integers(4, 10))
-    unrelated, plain = data.draw(
-        st.lists(st.integers(1, steps - 1), min_size=2, max_size=2, unique=True)
-    )
+    conjectures = []
+    steps = data.draw(st.integers(6, 10))
+    grow, other_1, other_2, stale, plain = data.draw(st.permutations(range(1, steps)))[:5]
     for step in range(steps):
-        if step == unrelated:
-            f = other.next()
-        elif step == plain:
-            f = parse("(or (< x1 0.25) (and (> x1 0.5) (< x1 0.75)))", d)
-        else:
+        if step in (other_1, other_2):
             for _ in range(data.draw(st.integers(1, 3))):
+                other.add(recent[data.draw(st.integers(0, len(recent) - 1))].tolist(), 1)
+            fs = [other.next()]
+        else:
+            if step == grow:
+                buffer, cells = learner._words, _cell_points(kinds)
+                while learner._words is buffer:
+                    learner.add(next(cells), 1)
+            for _ in range(data.draw(st.integers(1, 2))):
                 learner.add(recent[data.draw(st.integers(0, len(recent) - 1))].tolist(), 1)
-            f = learner.next()
+            fs = [learner.next()] + conjectures[-1:] * (step == stale)
+            conjectures.append(fs[0])
+        if step == plain:
+            fs.append(parse("(or (< x1 0.25) (and (> x1 0.5) (< x1 0.75)))", d))
         for _ in range(data.draw(st.integers(1, 3))):
             recent, _, inside, _ = draws.take(data.draw(st.integers(1, 300)))
-            mask = draws.mask(f)
-            expected = [evaluate(f, tuple(x)) for x in inside]
-            assert mask.tolist() == expected
-            if mask.flags.writeable:
-                mask[:] = ~mask  # a caller's write must not reach the memo
-            draws.take(len(recent))
-            assert draws.mask(f).tolist() == expected
+            for f in fs:
+                mask = draws.mask(f)
+                expected = [evaluate(f, tuple(x)) for x in inside]
+                assert mask.tolist() == expected
+                if mask.flags.writeable:
+                    mask[:] = ~mask  # a caller's write must not reach the memo
+                draws.take(len(recent))
+                assert draws.mask(f).tolist() == expected
             draws.consume(data.draw(st.integers(0, len(recent))))
+
+
+class _CountingBlocks:
+    """A distribution that records the size of each block drawn from it."""
+
+    def __init__(self, dist):
+        self.dist = dist
+        self.blocks = []
+
+    def sample_block(self, r, n):
+        self.blocks.append(n)
+        return self.dist.sample_block(r, n)
+
+    def point(self, row):
+        return self.dist.point(row)
+
+
+@pytest.mark.parametrize("epsilon,iteration", [(0.05, 3), (5e-3, 10), (1e-3, 10)])
+def test_verify_draws_nothing_past_a_passing_suite(zoo_tree, epsilon, iteration):
+    # each piece is the rest of the suite, up to the cap, so a passing suite
+    # on a fresh stream leaves the generator where drawing exactly its
+    # suite would
+    seed = 5
+    dist = _CountingBlocks(BOOL16)
+    draws = stream(zoo_tree, TrueQuery(16), "fish", dist, seed)
+    out = verify(parse("(and x11 (not x9))", 16), draws, epsilon, 0.05, iteration)
+    n = suite_size(epsilon, 0.05, iteration)
+    assert out.passed and out.tested_count == n
+    cap = verifier._VERIFY_MAX_CHUNK
+    assert dist.blocks == [cap] * (n // cap) + [n % cap] * (n % cap > 0)
+    reference = rng(seed)
+    BOOL16.sample_block(reference, n)
+    assert draws.rng.bit_generator.state == reference.bit_generator.state
