@@ -10,9 +10,12 @@ fixed per-feature order, so a fixed seed yields a bit-identical sequence.
 `ProductPerFeature`, and `UniformBox`, its product of intervals, spend
 exactly one double per feature: draw i consumes doubles i*d .. i*d+d-1, so
 one `rng.random((n, d))` call yields the doubles of n scalar draws in
-order. `Empirical` spends a varying number of stream values per draw
-(`integers`, then ziggurat `normal`), so it draws its blocks one point at a
-time.
+order. A block maps a categorical spec's doubles to values by compares
+against its running sums; a spec over exactly 0.0 and 1.0 takes one
+in-place compare. A noisy `Empirical` draw spends a varying number of
+stream values (`integers`, then ziggurat `normal`), so such blocks are
+drawn one point at a time; a quiet one (σ = 0, or no real feature) spends
+one `integers` value, so its block is one `integers` call.
 """
 
 from __future__ import annotations
@@ -71,6 +74,9 @@ def _categorical(k: int, weights: dict) -> tuple:
     return ("categorical", values, [float(w) / total for _, w in pairs])
 
 
+_ZERO_ONE = np.array([0.0, 1.0]).tobytes()
+
+
 class ProductPerFeature(Distribution):
     """Independent per-feature draws.
 
@@ -114,8 +120,11 @@ class ProductPerFeature(Distribution):
                 cuts = np.array(list(accumulate(spec[2]))[:-1])
                 key = (values.tobytes(), cuts.tobytes())
                 groups.setdefault(key, (values, cuts, []))[2].append(j)
+        # a group over exactly the values 0.0 and 1.0 (by bytes, so a -0.0
+        # key keeps the index) is drawn by one compare with its one cut
         self._categorical = [
-            (self._columns(cols), cuts, values) for values, cuts, cols in groups.values()
+            (self._columns(cols), cuts, None if values.tobytes() == _ZERO_ONE else values)
+            for values, cuts, cols in groups.values()
         ]
         # each categorical column's own value objects, for `point`
         self._own = [
@@ -155,11 +164,14 @@ class ProductPerFeature(Distribution):
             X[:, cols] = lo + X[:, cols] * span
         for cols, cuts, values in self._categorical:
             U = X[:, cols]  # a view of X when the group is every column, else a copy
-            index = np.zeros(U.shape, dtype=np.intp)
-            for cut in cuts:
-                index += U >= cut
-            # every index is in range; mode "raise" would copy `out` via a buffer
-            np.take(values, index, out=U, mode="wrap")
+            if values is None:
+                np.greater_equal(U, cuts[0], out=U, casting="unsafe")
+            else:
+                index = np.zeros(U.shape, dtype=np.intp)
+                for cut in cuts:
+                    index += U >= cut
+                # every index is in range; mode "raise" would copy `out` via a buffer
+                np.take(values, index, out=U, mode="wrap")
             if U.base is not X:
                 X[:, cols] = U
         return X
@@ -206,7 +218,9 @@ class Empirical(Distribution):
     """Dataset rows plus Gaussian noise on real features, clamped to [0, 1].
 
     Boolean features are never perturbed. Clamping (not rejection) keeps the
-    per-sample draw count fixed, which keeps streams reproducible.
+    per-sample draw count fixed, which keeps streams reproducible. Without
+    noise a block is one `integers` call and one index into the stacked
+    rows.
     """
 
     def __init__(self, dataset, sigma: float, path: Optional[str] = None):
@@ -219,20 +233,24 @@ class Empirical(Distribution):
         self.path = path
         self.arity = dataset.arity
         self._real_idx = [j for j, kind in enumerate(dataset.kinds) if kind != "bool"]
-        self._points = [np.asarray(x) for x, _ in dataset.rows]
+        self._points = np.array([x for x, _ in dataset.rows], dtype=float)
+        self._noisy = self.sigma > 0 and bool(self._real_idx)
 
     def sample(self, rng: np.random.Generator) -> tuple:
         k = int(rng.integers(len(self._points)))
         x = self._points[k].copy()
-        if self.sigma > 0 and self._real_idx:
+        if self._noisy:
             noise = rng.normal(0.0, self.sigma, size=len(self._real_idx))
             for j, nz in zip(self._real_idx, noise):
                 x[j] = min(1.0, max(0.0, x[j] + nz))
         return tuple(x.tolist())
 
-    # The scalar loop is the block layout: a draw's stream use varies, so
-    # no array call reproduces n draws of `sample`.
     def sample_block(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        # a quiet draw is one `integers` call, and n of them consume the
+        # stream as one call of size n does; a noisy draw's stream use
+        # varies, so no array call reproduces n of them
+        if not self._noisy:
+            return self._points[rng.integers(len(self._points), size=n)]
         X = np.empty((n, self.arity))
         for i in range(n):
             X[i] = self.sample(rng)

@@ -20,7 +20,10 @@ neither depends on the candidate. A suite takes the next pending draws,
 evaluates only the candidate's mask on them, and consumes exactly the
 draws it used; the draws it left wait for the next suite. The points each
 suite and the accuracy estimate see are therefore those of drawing them
-one at a time, and nothing is ever drawn twice or rewound.
+one at a time, and nothing is ever drawn twice or rewound. A verify piece
+is the rest of its suite, up to a cap in rows; an estimate piece is the
+draws its remaining hits are expected to need, up to a cap in doubles that
+keeps each block's temporaries below glibc's 128 KiB mmap threshold.
 
 The general learner's conjectures each extend the last cover by a few
 clauses, and carry those clauses as literal bitsets. The stream keeps, for
@@ -42,10 +45,14 @@ from .formula import Formula, Or, _cover_mask, _literal_words, evaluate, evaluat
 from .model import Model
 from .query import Query
 
-# Chunk sizes in draws. A verify piece is the rest of its suite, up to the
-# cap, which bounds the working set of long suites.
+# A verify piece is the rest of its suite, up to this many draws, which
+# bounds the working set of long suites.
 _VERIFY_MAX_CHUNK = 4096
-_ESTIMATE_CHUNK = 512
+# An estimate piece is the draws its remaining hits are expected to need, up
+# to this many doubles (120 KiB): a block whose temporaries stay below
+# glibc's 128 KiB mmap threshold reuses heap memory instead of mapping and
+# faulting in fresh pages for each one.
+_ESTIMATE_BLOCK_DOUBLES = 15360
 
 
 @dataclass(frozen=True)
@@ -79,7 +86,9 @@ class Draws:
     the current block, or else a fresh block of `limit` draws. `consume(k)`
     marks the first k of them used; `take` hands out the rest again. A
     leftover is always a piece of its own block, never joined to a fresh
-    one, so the working set stays one block.
+    one, so the working set stays one block: the size of a block is the
+    caller's `limit`, which `verify` caps at `_VERIFY_MAX_CHUNK` rows and
+    `estimate_query_accuracy` at `_ESTIMATE_BLOCK_DOUBLES` doubles.
 
     `mask(f)` is f's mask on the in-region rows of the last take. For a
     cover with literal bitsets, the block keeps a memo: the literal words
@@ -217,16 +226,26 @@ def estimate_query_accuracy(
     total), consuming them up to the last of those; returns (accuracy,
     in_region_count, draws), accuracy None when nothing landed inside the
     region.
+
+    Each piece asks for the draws the remaining hits are expected to need:
+    all of them before the first hit, then the remaining hits over the hit
+    rate seen so far, plus 5% and a few rows. A piece holds at most
+    `_ESTIMATE_BLOCK_DOUBLES` doubles. Draws past the last hit are left
+    unconsumed in the stream.
     """
     if n_target < 1:
         raise ValueError("n_target must be >= 1")
     if max_draws is None:
         max_draws = 50 * n_target
+    cap = max(1, _ESTIMATE_BLOCK_DOUBLES // max(1, draws.distribution.arity))
     hits = 0
     agree = 0
     taken = 0
     while taken < max_draws and hits < n_target:
-        X, rows, inside, target = draws.take(min(_ESTIMATE_CHUNK, max_draws - taken))
+        need = n_target - hits
+        if hits:
+            need = math.ceil(1.05 * need * taken / hits) + 8
+        X, rows, inside, target = draws.take(min(need, cap, max_draws - taken))
         k = min(len(rows), n_target - hits)
         used = len(X) if hits + k < n_target else int(rows[k - 1]) + 1
         agree += int(np.count_nonzero(draws.mask(f)[:k] == target[:k]))

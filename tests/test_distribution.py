@@ -236,13 +236,30 @@ GROUPED = ProductPerFeature(
         ("categorical", {5: 1, 0: 1, 3: 2}),
     ]
 )
+# 0/1 groups on some of the columns, beside an interval: a fair boolean, an
+# unfair and a zero-weight {0, 1} spec, each drawn by one compare, and a
+# -0.0 key and a {0, 2} spec that keep the index
+MIXED = ProductPerFeature(
+    [
+        ("interval", -1, 2),
+        ("categorical", {0.0: 0.5, 1.0: 0.5}),
+        ("categorical", {0: 3, 1: 1}),
+        ("categorical", {0: 0, 1: 1}),
+        ("categorical", {-0.0: 1, 1.0: 1}),
+        ("categorical", {0: 1, 2: 1}),
+        ("categorical", {1: 1, 0: 1}),
+    ]
+)
+ZOO = str(pathlib.Path(IRIS).with_name("zoo.csv"))
 STREAMS = {
     "box": UniformBox([0.0, -1.0, 2.0], [1.0, 1.0, 2.0]),
     "product": PRODUCT,
     "grouped": GROUPED,
+    "mixed": MIXED,
     "boolean": default_distribution(["bool"] * 16),
     "empirical": Empirical(load_dataset(IRIS), sigma=0.05),
     "empirical-quiet": Empirical(load_dataset(IRIS), sigma=0.0),
+    "empirical-boolean": Empirical(load_dataset(ZOO), sigma=0.05),
 }
 
 
@@ -301,7 +318,7 @@ def _edges(dist):
 @settings(deadline=None)
 @given(data=st.data())
 def test_inverse_cdf_block_matches_scalar_at_every_edge(data):
-    for dist in (PRODUCT, GROUPED):
+    for dist in (PRODUCT, GROUPED, MIXED):
         u = st.one_of(st.floats(0, 1, exclude_max=True), st.sampled_from(_edges(dist)))
         us = data.draw(st.lists(u, min_size=dist.arity * 12, max_size=dist.arity * 12))
         block = [dist.point(row) for row in dist.sample_block(Doubles(us), 12)]
@@ -317,6 +334,16 @@ def test_points_share_the_categorical_value_objects():
         got = dist.point(row)
         assert got == x
         assert all(any(v is w for w in values) for v in got)
+    # so do the mixed stream's columns, on either path
+    X = MIXED.sample_block(rng(3), 40)
+    for row, x in zip(X, scalar_draws(MIXED, rng(3), 40)):
+        got = MIXED.point(row)
+        assert got == x
+        for spec, v in zip(MIXED.specs[1:], got[1:]):
+            assert any(v is w for w in spec[1])
+    # the -0.0 key's column holds -0.0 itself, not a 0.0 that `point` maps
+    # back to it
+    assert set(np.copysign(1.0, X[:, 4]).tolist()) == {-1.0, 1.0}
     # every default distribution draws the same two objects
     other = default_distribution(["bool"] * 4)
     assert all(v is w for v, w in zip(other.specs[0][1], values))

@@ -317,7 +317,7 @@ def test_verify_matches_scalar_loop_and_stream(
 @given(
     seed=st.integers(0, 2**32 - 1),
     n_target=st.integers(1, 1500),
-    max_draws=st.integers(1, 3000),
+    max_draws=st.integers(1, 12000),
 )
 def test_estimate_matches_scalar_loop_and_stream(
     zoo_tree, iris_mlp, data_dir, case, seed, n_target, max_draws
@@ -419,6 +419,7 @@ class _CountingBlocks:
 
     def __init__(self, dist):
         self.dist = dist
+        self.arity = dist.arity
         self.blocks = []
 
     def sample_block(self, r, n):
@@ -445,3 +446,42 @@ def test_verify_draws_nothing_past_a_passing_suite(zoo_tree, epsilon, iteration)
     reference = rng(seed)
     BOOL16.sample_block(reference, n)
     assert draws.rng.bit_generator.state == reference.bit_generator.state
+
+
+ESTIMATE_BUDGET = verifier._ESTIMATE_BLOCK_DOUBLES
+
+
+@pytest.mark.parametrize("case", ["zoo-rare", "zoo-region", "iris-ball", "iris-empirical"])
+def test_estimate_blocks_stay_within_the_budget(zoo_tree, iris_mlp, data_dir, case):
+    f, model, query, target, dist = _cases(zoo_tree, iris_mlp, data_dir)[case]
+    counted = _CountingBlocks(dist)
+    got = estimate_query_accuracy(f, Draws(counted, rng(4), query, model, target), 5000)
+    assert got == scalar_estimate(f, model, query, target, dist, rng(4), 5000, 250000)
+    assert len(counted.blocks) > 1
+    assert max(counted.blocks) * dist.arity <= ESTIMATE_BUDGET
+
+
+def test_estimate_inside_the_budget_draws_one_block(zoo_tree):
+    # every draw of a TrueQuery is a hit, so n hits need exactly n draws
+    n = ESTIMATE_BUDGET // BOOL16.arity
+    for n_target in (1, 700, n):
+        dist = _CountingBlocks(BOOL16)
+        draws = stream(zoo_tree, TrueQuery(16), "fish", dist, 7)
+        _, hits, taken = estimate_query_accuracy(parse("x11", 16), draws, n_target)
+        assert hits == taken == n_target
+        assert dist.blocks == [n_target]
+
+
+def test_estimate_working_set_is_bounded(zoo_tree):
+    # an empty region never hits, so the estimate takes its whole default
+    # cap of 50 * 2000 draws, about 12.8 MB as one block
+    f = parse("(and x11 (not x9))", 16)
+    draws = stream(zoo_tree, FormulaQuery(FALSE, 16), "fish", BOOL16, 0)
+    tracemalloc.start()
+    try:
+        got = estimate_query_accuracy(f, draws, 2000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got == (None, 0, 100000)
+    assert peak < 4 * ESTIMATE_BUDGET * 8
