@@ -118,6 +118,7 @@ class RunStats:
     accuracy: Optional[float] = None
     accuracy_support: int = 0
     learner_seconds: float = 0.0
+    update_seconds: float = 0.0  # adding counterexamples to the sample and the learner
     verifier_seconds: float = 0.0
     wall_seconds: float = 0.0
 
@@ -266,12 +267,14 @@ def explain(cfg: RunConfig) -> RunResult:
         if result.passed:
             outcome = OUTCOME_EXPLANATION
             break
+        t0 = time.perf_counter()
         for x, label in result.counterexamples:
             if not sample.add(x, label):
                 raise EngineInvariantError(
                     f"counterexample {x} was already in the sample"
                 )
             learner.add(x, label)
+        stats.update_seconds += time.perf_counter() - t0
 
     stats.iterations = iteration
     stats.counterexample_count = len(sample)
@@ -311,6 +314,7 @@ def explain(cfg: RunConfig) -> RunResult:
 
 VOLATILE_STAT_KEYS = (
     "learnerSeconds",
+    "updateSeconds",
     "verifierSeconds",
     "wallSeconds",
     "learnerShare",
@@ -338,6 +342,7 @@ def run_report(result: RunResult) -> dict:
             "accuracy": stats.accuracy,
             "accuracySupport": stats.accuracy_support,
             "learnerSeconds": stats.learner_seconds,
+            "updateSeconds": stats.update_seconds,
             "verifierSeconds": stats.verifier_seconds,
             "wallSeconds": stats.wall_seconds,
             "learnerShare": stats.learner_seconds / measured if measured else None,

@@ -236,15 +236,15 @@ def _literal_test(f: Formula) -> Optional[tuple]:
     return None
 
 
-# The most cells `_literal_words` and `_cover_mask` hold in one array: they
+# The most cells `_missing_words` and `_cover_mask` hold in one array: they
 # take the rows or the clauses a slice at a time, so that their working sets
 # do not grow with the number of rows or clauses.
 _COVER_CELLS = 1 << 16
 
 
-def _literal_words(tests: tuple, X: np.ndarray, width: int) -> np.ndarray:
-    """The grammar literals that hold on each row of X, as a rows × width
-    array of little-endian 64-bit words: bit i of a row is literal i.
+def _missing_words(tests: tuple, X: np.ndarray, width: int) -> np.ndarray:
+    """Bit i of column r: whether grammar literal i fails on row r of X, in
+    a width × rows (word-major) array of little-endian 64-bit words.
 
     `tests` are the grammar's `literal_tests()`; one numpy compare tests a
     slice of rows against all the literals of one op.
@@ -255,19 +255,21 @@ def _literal_words(tests: tuple, X: np.ndarray, width: int) -> np.ndarray:
         block = X[lo:lo + step]
         for compare, idx, features, constants in tests:
             held[lo:lo + step, idx] = compare(block[:, features], constants)
-    return np.packbits(held, axis=1, bitorder="little").view("<u8")
+    return np.invert(np.packbits(held, axis=1, bitorder="little").view("<u8").T, order="C")
 
 
-def _cover_mask(clauses: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Whether some clause holds on each row, for clauses and rows given as
-    literal bitsets (`_literal_words`): a clause holds on a row when its
-    literals are a subset of the row's."""
-    missing = ~rows
-    none = np.ones(len(rows), dtype=bool)  # no clause so far holds on the row
+def _cover_mask(clauses: np.ndarray, missing: np.ndarray) -> np.ndarray:
+    """Whether some clause holds on each row, for clauses given as literal
+    bitsets and rows as `_missing_words`: a clause holds on a row when it
+    has none of the row's failing literals, tested one word at a time."""
+    out = np.zeros(missing.shape[1], dtype=bool)
     step = max(1, _COVER_CELLS // max(1, missing.size))
     for lo in range(0, len(clauses), step):
-        none &= (clauses[lo:lo + step, None] & missing).any(axis=2).all(axis=0)
-    return ~none
+        ok = (clauses[lo:lo + step, 0, None] & missing[0]) == 0
+        for w in range(1, len(missing)):
+            ok &= (clauses[lo:lo + step, w, None] & missing[w]) == 0
+        out |= ok.any(axis=0)
+    return out
 
 
 def evaluate_mask(f: Formula, X: np.ndarray) -> np.ndarray:
@@ -295,7 +297,7 @@ def evaluate_mask(f: Formula, X: np.ndarray) -> np.ndarray:
         words = f.__dict__.get("_words")
         if words is not None:
             tests, clauses = words
-            return _cover_mask(clauses, _literal_words(tests, X, clauses.shape[1]))
+            return _cover_mask(clauses, _missing_words(tests, X, clauses.shape[1]))
         out = evaluate_mask(f.children[0], X)
         for c in f.children[1:]:
             out |= evaluate_mask(c, X)

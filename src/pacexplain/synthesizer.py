@@ -67,7 +67,7 @@ from .formula import (
     _canonical_node,
     _cover_mask,
     _literal_test,
-    _literal_words,
+    _missing_words,
     order_key,
     size,
 )
@@ -603,7 +603,7 @@ def _cell_signature(g: Grammar, x) -> tuple:
 
 
 def _word_count(g: Grammar) -> int:
-    """Words of a bitset over g's literals (`formula._literal_words`)."""
+    """Words of a bitset over g's literals (`formula._missing_words`)."""
     return max(1, -(-len(g.literals()) // 64))
 
 
@@ -632,16 +632,16 @@ def _cell_clause(g: Grammar, sig: tuple) -> tuple:
 class GeneralLearner:
     """The cover of `synthesize_general`, extended point by point.
 
-    Each clause and each negative is kept as a bitset over the grammar's
-    literals, one row of an array; the clauses' array grows by doubling. A
-    clause holds on a point when its literals are a subset of those the
-    point holds, so a new negative or a new clause is one subset test
-    against the other side. Each conjecture carries a read-only view of the
-    clauses' rows, which `evaluate_mask` tests instead of walking the
-    clauses; rows are only ever appended, so a later clause leaves the view
-    as it was, and the verifier's `Draws.mask` tests only the rows added
-    since the last conjecture, trusting a longer view of the same buffer to
-    start with the rows of a shorter one.
+    Each clause is a bitset over the grammar's literals, one row of an
+    array that grows by doubling; each negative is the bitset of the
+    literals it fails, one column of a word-major array. A clause holds on
+    a point when it has none of those, so a new negative or a new clause is
+    one `_cover_mask` test against the other side. Each conjecture carries
+    a read-only view of the clauses' rows, which `evaluate_mask` tests
+    instead of walking the clauses; rows are only ever appended, so a later
+    clause leaves the view as it was, and the verifier's `Draws.mask` tests
+    only the rows added since the last conjecture, trusting a longer view
+    of the same buffer to start with the rows of a shorter one.
 
     The clauses stay sorted by order key beside a list of their keys, which
     a new clause is placed in by bisection and whose equal key marks a
@@ -656,7 +656,7 @@ class GeneralLearner:
         self._keys = []  # the clauses' order keys
         width = _word_count(g)
         self._words = np.zeros((8, width), dtype="<u8")  # the clauses, in order added
-        self._negatives = np.zeros((0, width), dtype="<u8")
+        self._negatives = np.zeros((width, 0), dtype="<u8")  # failing literals, word-major
         self._cover = None  # the literal tests and a read-only view of the rows
         self._failed = False
 
@@ -664,10 +664,9 @@ class GeneralLearner:
         if self._failed:
             return
         if not label:
-            x = np.asarray(x, dtype=float)[None]
-            row = _literal_words(self._tests, x, self._words.shape[1])
-            self._negatives = np.concatenate([self._negatives, row])  # they are few
-            self._failed = bool(_cover_mask(self._words[:len(self._clauses)], row)[0])
+            missing = _missing_words(self._tests, np.asarray([x], float), self._words.shape[1])
+            self._negatives = np.concatenate([self._negatives, missing], axis=1)  # they are few
+            self._failed = bool(_cover_mask(self._words[:len(self._clauses)], missing)[0])
             return
         g = self._g
         keys = self._keys
@@ -680,7 +679,7 @@ class GeneralLearner:
         self._failed = (
             size(clause) > g.max_literals_per_clause
             or n == g.max_clauses
-            or bool(len(self._negatives) and _cover_mask(words[None], self._negatives).any())
+            or bool(self._negatives.size and _cover_mask(words[None], self._negatives).any())
         )
         self._clauses.insert(place, clause)
         keys.insert(place, key)

@@ -27,9 +27,9 @@ keeps each block's temporaries below glibc's 128 KiB mmap threshold.
 
 The general learner's conjectures each extend the last cover by a few
 clauses, and carry those clauses as literal bitsets. The stream keeps, for
-its current block, the literal bitsets of the in-region rows, the clauses
-already folded in and which rows they cover, so each new conjecture tests
-only its new clauses.
+its current block, the in-region rows' failing literals as word-major
+bitsets, the clauses already folded in and which rows they cover, so each
+new conjecture tests only its new clauses.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 # `evaluate` stays importable here: bench/tracing.py wraps it in this module
-from .formula import Formula, Or, _cover_mask, _literal_words, evaluate, evaluate_mask  # noqa: F401
+from .formula import Formula, Or, _cover_mask, _missing_words, evaluate, evaluate_mask  # noqa: F401
 from .model import Model
 from .query import Query
 
@@ -91,9 +91,9 @@ class Draws:
     `estimate_query_accuracy` at `_ESTIMATE_BLOCK_DOUBLES` doubles.
 
     `mask(f)` is f's mask on the in-region rows of the last take. For a
-    cover with literal bitsets, the block keeps a memo: the literal words
-    of all its in-region rows, tested once when the first such cover meets
-    the block; the clause rows folded in so far; and the mask of rows they
+    cover with literal bitsets, the block keeps a memo: `_missing_words` of
+    all its in-region rows, tested once when the first such cover meets the
+    block; the clause rows folded in so far; and the mask of rows they
     cover. A cover whose clause rows start with the folded ones folds in
     only the rest, and any other cover is folded afresh. Rows that view the
     same buffer as the folded ones, and are no fewer, start with them
@@ -114,7 +114,7 @@ class Draws:
         self._block = None  # X, in-region row indices, those rows, model verdicts
         self._used = 0  # draws of the block consumed so far
         self._piece = (0, 0)  # the last take's in-region rows, as a slice of the block's
-        self._memo = None  # the block's literal tests, their words, folded clauses, covered
+        self._memo = None  # the block's literal tests, missing words, folded clauses, covered
 
     def take(self, limit: int) -> tuple:
         """(X, rows, inside, target): up to `limit` draws as the rows of X,
@@ -133,8 +133,7 @@ class Draws:
         X, rows, inside, target = block
         lo = self._used
         hi = min(lo + limit, len(X))
-        a, b = np.searchsorted(rows, (lo, hi))
-        self._piece = (a, b)
+        self._piece = a, b = rows.searchsorted(lo), rows.searchsorted(hi)
         return X[lo:hi], rows[a:b] - lo, inside[a:b], target[a:b]
 
     def mask(self, f: Formula) -> np.ndarray:
@@ -148,17 +147,17 @@ class Draws:
         tests, clauses = words
         memo = self._memo
         if memo is None or memo[0] is not tests:
-            held = _literal_words(tests, inside, clauses.shape[1])
-            memo = (tests, held, clauses[:0], np.zeros(len(inside), dtype=bool))
-        _, held, folded, covered = memo
+            missing = _missing_words(tests, inside, clauses.shape[1])
+            memo = (tests, missing, clauses[:0], np.zeros(len(inside), dtype=bool))
+        _, missing, folded, covered = memo
         n = len(folded)
         same_buffer = folded.base is clauses.base is not None and n <= len(clauses)
         if not (same_buffer or np.array_equal(clauses[:n], folded)):
             n = 0
             covered[a:] = False
         if n < len(clauses):
-            covered[a:] |= _cover_mask(clauses[n:], held[a:])
-        self._memo = (tests, held, clauses, covered)
+            covered[a:] |= _cover_mask(clauses[n:], missing[:, a:])
+        self._memo = (tests, missing, clauses, covered)
         return covered[a:b].copy()
 
     def consume(self, k: int):
@@ -194,7 +193,7 @@ def verify(
         X, rows, inside, target = draws.take(min(_VERIFY_MAX_CHUNK, n - tested))
         satisfied = draws.mask(f)
         used, hits = len(X), len(rows)
-        for i in np.flatnonzero(satisfied != target).tolist():
+        for i in (satisfied != target).nonzero()[0].tolist():
             x = draws.distribution.point(inside[i])
             if x in counterexamples:
                 continue

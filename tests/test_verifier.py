@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from pacexplain import (
     parse,
     verify,
 )
+from pacexplain import formula as formula_module
 from pacexplain import verifier
 from pacexplain.synthesizer import GeneralLearner
 
@@ -362,18 +364,15 @@ def _cell_points(kinds):
     return (list(x) for x in itertools.product(*values))
 
 
-@pytest.mark.parametrize("name", list(MASK_KINDS))
-@settings(max_examples=30, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), data=st.data())
-def test_draws_mask_matches_evaluate(name, seed, data):
-    # A run's conjectures, each the last cover plus the cells of a few
-    # recent draws, over takes and consumes that end mid-block and cross
-    # into fresh blocks. Among them: a step after which the learner's rows
-    # live in a doubled buffer; two covers of another learner over the same
-    # grammar; the learner's last conjecture again, right after the one that
-    # extends it, as the post-run estimate evaluates it after a timeout; and
-    # a formula without bitsets.
-    kinds = MASK_KINDS[name]
+def _check_draws_masks(kinds, seed, data):
+    """A run's conjectures, each the last cover plus the cells of a few
+    recent draws, over takes and consumes that end mid-block and cross
+    into fresh blocks, each mask checked against scalar `evaluate`. Among
+    them: a step after which the learner's rows live in a doubled buffer;
+    two covers of another learner over the same grammar; the learner's last
+    conjecture again, right after the one that extends it, as the post-run
+    estimate evaluates it after a timeout; and a formula without bitsets.
+    The fed points are recent draws, some with one coordinate moved."""
     d = len(kinds)
     g = default_grammar(kinds, max_clauses=4096, max_literals_per_clause=2 * d)
     dist = default_distribution(kinds)
@@ -383,12 +382,23 @@ def test_draws_mask_matches_evaluate(name, seed, data):
     learner, other = GeneralLearner(g), GeneralLearner(g)
     recent = dist.sample_block(rng(seed + 1), 4)
     conjectures = []
+
+    def fed():
+        # a recent draw, or one with a coordinate moved to another cell, so
+        # that the draw itself fails the new clause on the literals of one
+        # feature alone, which may all lie in the second word
+        x = recent[data.draw(st.integers(0, len(recent) - 1))].tolist()
+        if data.draw(st.booleans()):
+            j = data.draw(st.integers(0, d - 1))
+            x[j] = 1.0 - x[j] if kinds[j] == "bool" else (x[j] + 0.5) % 1.0
+        return x
+
     steps = data.draw(st.integers(6, 10))
     grow, other_1, other_2, stale, plain = data.draw(st.permutations(range(1, steps)))[:5]
     for step in range(steps):
         if step in (other_1, other_2):
             for _ in range(data.draw(st.integers(1, 3))):
-                other.add(recent[data.draw(st.integers(0, len(recent) - 1))].tolist(), 1)
+                other.add(fed(), 1)
             fs = [other.next()]
         else:
             if step == grow:
@@ -396,7 +406,7 @@ def test_draws_mask_matches_evaluate(name, seed, data):
                 while learner._words is buffer:
                     learner.add(next(cells), 1)
             for _ in range(data.draw(st.integers(1, 2))):
-                learner.add(recent[data.draw(st.integers(0, len(recent) - 1))].tolist(), 1)
+                learner.add(fed(), 1)
             fs = [learner.next()] + conjectures[-1:] * (step == stale)
             conjectures.append(fs[0])
         if step == plain:
@@ -412,6 +422,29 @@ def test_draws_mask_matches_evaluate(name, seed, data):
                 draws.take(len(recent))
                 assert draws.mask(f).tolist() == expected
             draws.consume(data.draw(st.integers(0, len(recent))))
+
+
+@pytest.mark.parametrize("name", list(MASK_KINDS))
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_draws_mask_matches_evaluate(name, seed, data):
+    _check_draws_masks(MASK_KINDS[name], seed, data)
+
+
+@pytest.mark.parametrize(
+    "cells", [lambda width: 1, lambda width: 5, lambda width: 2 * width],
+    ids=["one-cell", "five-cells", "two-rows"],
+)
+@pytest.mark.parametrize("name", list(MASK_KINDS))
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_draws_mask_folds_across_slices(cells, name, seed, data):
+    # With slices this small, a fold of several new clauses at a piece
+    # that starts mid-block spans several slices, and the literal words
+    # of a block are tested a row or a few at a time.
+    width = 2 if name == "two-words" else 1
+    with mock.patch.object(formula_module, "_COVER_CELLS", cells(width)):
+        _check_draws_masks(MASK_KINDS[name], seed, data)
 
 
 class _CountingBlocks:
