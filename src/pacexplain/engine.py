@@ -394,9 +394,13 @@ def stable_report(report: dict) -> dict:
 
 
 def write_report(report: dict, path: str):
+    """Write the report as JSON, or raise ValueError if it nests too deeply."""
+    try:
+        text = json.dumps(report, indent=2, sort_keys=True)
+    except RecursionError:
+        raise ValueError(f"{path}: report nested too deeply to write") from None
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def config_from_report(config: dict, seed: int) -> RunConfig:

@@ -10,6 +10,9 @@ The module also defines the total order used to rank candidate
 explanations: smaller size first, then fewer disjuncts, then a structural
 tie-break (constants before atoms before negations before conjunctions
 before disjunctions).
+
+`evaluate_mask` evaluates a formula on a block of rows. A disjunction that
+carries a cover, as the general learner's conjectures do, folds itself.
 """
 
 from __future__ import annotations
@@ -218,69 +221,14 @@ _MASK_OPS = {
     "=": np.equal,
 }
 
-# Every literal is one compare of a coordinate with a constant: `xj` is
-# `xj = 1` and `(not xj)` is `xj != 1`, which holds for NaN as `evaluate`'s
-# `not` of `NaN = 1` does.
-_LITERAL_COMPARE = {**_MASK_OPS, "!=": np.not_equal}
-
-
-def _literal_test(f: Formula) -> Optional[tuple]:
-    """(op, feature, constant) of the compare that decides the literal f,
-    or None when f is not a literal (an Atom, a BoolAtom or its negation)."""
-    if isinstance(f, Atom):
-        return f.op, f.feature, f.constant
-    if isinstance(f, BoolAtom):
-        return "=", f.feature, 1.0
-    if isinstance(f, Not) and isinstance(f.child, BoolAtom):
-        return "!=", f.child.feature, 1.0
-    return None
-
-
-# The most cells `_missing_words` and `_cover_mask` hold in one array: they
-# take the rows or the clauses a slice at a time, so that their working sets
-# do not grow with the number of rows or clauses.
-_COVER_CELLS = 1 << 16
-
-
-def _missing_words(tests: tuple, X: np.ndarray, width: int) -> np.ndarray:
-    """Bit i of column r: whether grammar literal i fails on row r of X, in
-    a width × rows (word-major) array of little-endian 64-bit words.
-
-    `tests` are the grammar's `literal_tests()`; one numpy compare tests a
-    slice of rows against all the literals of one op.
-    """
-    held = np.zeros((len(X), 64 * width), dtype=bool)
-    step = max(1, _COVER_CELLS // (64 * width))
-    for lo in range(0, len(X), step):
-        block = X[lo:lo + step]
-        for compare, idx, features, constants in tests:
-            held[lo:lo + step, idx] = compare(block[:, features], constants)
-    return np.invert(np.packbits(held, axis=1, bitorder="little").view("<u8").T, order="C")
-
-
-def _cover_mask(clauses: np.ndarray, missing: np.ndarray) -> np.ndarray:
-    """Whether some clause holds on each row, for clauses given as literal
-    bitsets and rows as `_missing_words`: a clause holds on a row when it
-    has none of the row's failing literals, tested one word at a time."""
-    out = np.zeros(missing.shape[1], dtype=bool)
-    step = max(1, _COVER_CELLS // max(1, missing.size))
-    for lo in range(0, len(clauses), step):
-        ok = (clauses[lo:lo + step, 0, None] & missing[0]) == 0
-        for w in range(1, len(missing)):
-            ok &= (clauses[lo:lo + step, w, None] & missing[w]) == 0
-        out |= ok.any(axis=0)
-    return out
-
 
 def evaluate_mask(f: Formula, X: np.ndarray) -> np.ndarray:
     """`evaluate` on every row of the 2-D float block X, as a boolean mask.
 
-    A disjunction that carries its clauses as literal bitsets, as the
-    general learner's conjectures do, is one subset test per clause and row
-    after the grammar's literals are tested once on each row: `_words` is
-    (the grammar's literal tests, a clauses × words array). Every other
-    formula, queries and parsed formulas among them, is evaluated node by
-    node, with one numpy call per node.
+    A disjunction that carries a `_cover`, as the general learner's
+    conjectures do, masks itself: the cover folds its clauses over X as
+    literal bitsets. Every other formula, queries and parsed formulas among
+    them, is evaluated node by node, with one numpy call per node.
     """
     if isinstance(f, Atom):
         return _MASK_OPS[f.op](X[:, f.feature], f.constant)
@@ -294,10 +242,9 @@ def evaluate_mask(f: Formula, X: np.ndarray) -> np.ndarray:
             out &= evaluate_mask(c, X)
         return out
     if isinstance(f, Or):
-        words = f.__dict__.get("_words")
-        if words is not None:
-            tests, clauses = words
-            return _cover_mask(clauses, _missing_words(tests, X, clauses.shape[1]))
+        cover = f.__dict__.get("_cover")
+        if cover is not None:
+            return cover.mask(X)
         out = evaluate_mask(f.children[0], X)
         for c in f.children[1:]:
             out |= evaluate_mask(c, X)

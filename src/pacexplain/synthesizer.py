@@ -40,7 +40,8 @@ conjecture itself misclassifies its new counterexamples. `synthesize` and
 
 `synthesize_general` is a deliberately non-minimizing alternative used to
 approximate unconstrained synthesis: it covers each positive example with
-the grammar-grid cell around it, which is fast and overfits.
+the grammar-grid cell around it, which is fast and overfits. Its
+conjectures carry a `_Cover`: literal bitsets only this module lays out.
 """
 
 from __future__ import annotations
@@ -50,12 +51,12 @@ import functools
 import itertools
 import time
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
 from .formula import (
-    _LITERAL_COMPARE,
+    _MASK_OPS,
     FALSE,
     TRUE,
     And,
@@ -65,9 +66,6 @@ from .formula import (
     Not,
     Or,
     _canonical_node,
-    _cover_mask,
-    _literal_test,
-    _missing_words,
     order_key,
     size,
 )
@@ -283,8 +281,7 @@ class Sample:
     """
 
     def __init__(self, entries: Optional[Iterable] = None):
-        self._entries: List[Tuple[tuple, int]] = []
-        self._index = {}
+        self._labels = {}  # point -> label, in insertion order
         if entries is not None:
             for x, label in entries:
                 self.add(x, label)
@@ -294,26 +291,25 @@ class Sample:
         label = int(label)
         if label not in (0, 1):
             raise ValueError(f"label must be 0 or 1, got {label}")
-        existing = self._index.get(point)
+        existing = self._labels.get(point)
         if existing is not None:
             if existing != label:
                 raise InconsistentSampleError(
                     f"point {point} already labeled {existing}, cannot relabel {label}"
                 )
             return False
-        self._index[point] = label
-        self._entries.append((point, label))
+        self._labels[point] = label
         return True
 
     @property
     def entries(self) -> list:
-        return list(self._entries)
+        return list(self._labels.items())
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._labels)
 
     def __iter__(self):
-        return iter(self._entries)
+        return iter(self._labels.items())
 
 
 # --- ordered candidate stream ------------------------------------------------
@@ -425,27 +421,6 @@ def _disjunction(clauses) -> Formula:
 
 def _build_formula(lits, combos) -> Formula:
     return _disjunction(_conjunction(lits[i] for i in combo) for combo in combos)
-
-
-def _literal_tests(lits: Sequence[Formula]) -> tuple:
-    """(compare, literal indices, features, constants) for each op, so that
-    one numpy compare tests a point against all the literals of the op."""
-    groups = {}
-    for i, lit in enumerate(lits):
-        op, j, c = _literal_test(lit)
-        groups.setdefault(op, []).append((i, j, c))
-    tests = []
-    for op, members in groups.items():
-        idx, features, constants = zip(*members)
-        arrays = (
-            np.array(idx, dtype=np.intp),
-            np.array(features, dtype=np.intp),
-            np.array(constants, dtype=float),
-        )
-        for a in arrays:
-            a.flags.writeable = False  # every learner of the grammar shares them
-        tests.append((_LITERAL_COMPARE[op], *arrays))
-    return tuple(tests)
 
 
 class OccamLearner:
@@ -602,8 +577,103 @@ def _cell_signature(g: Grammar, x) -> tuple:
     return tuple(sig)
 
 
+# --- literal bitsets of the general learner ------------------------------------
+
+# Every literal is one compare of a coordinate with a constant: `xj` is
+# `xj = 1` and `(not xj)` is `xj != 1`, which holds for NaN as `evaluate`'s
+# `not` of `NaN = 1` does.
+_LITERAL_COMPARE = {**_MASK_OPS, "!=": np.not_equal}
+
+# The most cells `_missing_words` and `_cover_mask` hold in one array: they
+# take the rows or the clauses a slice at a time, so that their working sets
+# do not grow with the number of rows or clauses.
+_COVER_CELLS = 1 << 16
+
+
+def _literal_tests(lits: Sequence[Formula]) -> tuple:
+    """(compare, literal indices, features, constants) for each op, so that
+    one numpy compare tests a point against all the literals of the op."""
+    groups = {}
+    for i, lit in enumerate(lits):
+        if isinstance(lit, Atom):
+            op, j, c = lit.op, lit.feature, lit.constant
+        elif isinstance(lit, BoolAtom):
+            op, j, c = "=", lit.feature, 1.0
+        else:
+            op, j, c = "!=", lit.child.feature, 1.0
+        groups.setdefault(op, []).append((i, j, c))
+    tests = []
+    for op, members in groups.items():
+        idx, features, constants = zip(*members)
+        arrays = (np.array(idx, dtype=np.intp), np.array(features, dtype=np.intp),
+                  np.array(constants, dtype=float))
+        for a in arrays:
+            a.flags.writeable = False  # every learner of the grammar shares them
+        tests.append((_LITERAL_COMPARE[op], *arrays))
+    return tuple(tests)
+
+
+def _missing_words(tests: tuple, X: np.ndarray, width: int) -> np.ndarray:
+    """Bit i of column r: whether grammar literal i fails on row r of X, in
+    a width × rows (word-major) array of little-endian 64-bit words; one
+    numpy compare of each of the grammar's `tests` tests a slice of rows."""
+    held = np.zeros((len(X), 64 * width), dtype=bool)
+    step = max(1, _COVER_CELLS // (64 * width))
+    for lo in range(0, len(X), step):
+        block = X[lo:lo + step]
+        for compare, idx, features, constants in tests:
+            held[lo:lo + step, idx] = compare(block[:, features], constants)
+    return np.invert(np.packbits(held, axis=1, bitorder="little").view("<u8").T, order="C")
+
+
+def _cover_mask(clauses: np.ndarray, missing: np.ndarray) -> np.ndarray:
+    """Whether some clause holds on each row, for clauses given as literal
+    bitsets and rows as `_missing_words`: a clause holds on a row when it
+    has none of the row's failing literals, tested one word at a time."""
+    out = np.zeros(missing.shape[1], dtype=bool)
+    step = max(1, _COVER_CELLS // max(1, missing.size))
+    for lo in range(0, len(clauses), step):
+        ok = (clauses[lo:lo + step, 0, None] & missing[0]) == 0
+        for w in range(1, len(missing)):
+            ok &= (clauses[lo:lo + step, w, None] & missing[w]) == 0
+        out |= ok.any(axis=0)
+    return out
+
+
+class _Cover:
+    """A general conjecture's clauses as literal bitsets, folded over rows
+    instead of walked: `owner` is a token unique to the learner, `tests` its
+    grammar's literal tests, `rows` a read-only view of its clause rows."""
+
+    __slots__ = ("owner", "tests", "rows")
+
+    def __init__(self, owner: object, tests: tuple, rows: np.ndarray):
+        self.owner = owner
+        self.tests = tests
+        self.rows = rows
+
+    def fold(self, memo: Optional[tuple], X: np.ndarray, a: int = 0) -> tuple:
+        """The memo of this cover on X from row a on, whose last item is the
+        mask of the rows it covers. `memo` is None or what `fold` returned on
+        X from a row no later than a. A memo of this owner with no more
+        clauses has folded a leading run of the rows (see `GeneralLearner.add`),
+        so only the rest are folded in; any other memo is rebuilt."""
+        rows = self.rows
+        if memo is None or memo[0] is not self.owner or memo[1] > len(rows):
+            missing = _missing_words(self.tests, X, rows.shape[1])
+            memo = (self.owner, 0, missing, np.zeros(len(X), dtype=bool))
+        owner, n, missing, covered = memo
+        if n < len(rows):
+            covered[a:] |= _cover_mask(rows[n:], missing[:, a:])
+        return owner, len(rows), missing, covered
+
+    def mask(self, X: np.ndarray) -> np.ndarray:
+        """Whether some clause of the cover holds on each row of X."""
+        return self.fold(None, X)[-1]
+
+
 def _word_count(g: Grammar) -> int:
-    """Words of a bitset over g's literals (`formula._missing_words`)."""
+    """Words of a bitset over g's literals."""
     return max(1, -(-len(g.literals()) // 64))
 
 
@@ -637,11 +707,7 @@ class GeneralLearner:
     literals it fails, one column of a word-major array. A clause holds on
     a point when it has none of those, so a new negative or a new clause is
     one `_cover_mask` test against the other side. Each conjecture carries
-    a read-only view of the clauses' rows, which `evaluate_mask` tests
-    instead of walking the clauses; rows are only ever appended, so a later
-    clause leaves the view as it was, and the verifier's `Draws.mask` tests
-    only the rows added since the last conjecture, trusting a longer view
-    of the same buffer to start with the rows of a shorter one.
+    a `_Cover` of the clauses' rows.
 
     The clauses stay sorted by order key beside a list of their keys, which
     a new clause is placed in by bisection and whose equal key marks a
@@ -657,7 +723,7 @@ class GeneralLearner:
         width = _word_count(g)
         self._words = np.zeros((8, width), dtype="<u8")  # the clauses, in order added
         self._negatives = np.zeros((width, 0), dtype="<u8")  # failing literals, word-major
-        self._cover = None  # the literal tests and a read-only view of the rows
+        self._owner = object()  # not the learner: a kept conjecture need not keep it alive
         self._failed = False
 
     def add(self, x: Sequence[float], label: int):
@@ -683,19 +749,22 @@ class GeneralLearner:
         )
         self._clauses.insert(place, clause)
         keys.insert(place, key)
-        if n == len(self._words):  # views handed out keep the old buffer
+        # Rows are only appended, never rewritten, and a grown buffer copies
+        # them while the covers handed out keep viewing the old one: so a
+        # conjecture's rows stay as they were, and of two covers the longer
+        # starts with the rows of the shorter, which `_Cover.fold` relies on.
+        if n == len(self._words):
             self._words = np.concatenate([self._words, np.zeros_like(self._words)])
         self._words[n] = words
-        cover = self._words[:n + 1]
-        cover.flags.writeable = False
-        self._cover = (self._tests, cover)
 
     def next(self, deadline: Optional[float] = None) -> Optional[Formula]:
         if self._failed or not (self._clauses or self._g.include_constants):
             return None
         f = _disjunction(self._clauses)
         if isinstance(f, Or):
-            object.__setattr__(f, "_words", self._cover)
+            rows = self._words[:len(self._clauses)]
+            rows.flags.writeable = False
+            object.__setattr__(f, "_cover", _Cover(self._owner, self._tests, rows))
         return f
 
 

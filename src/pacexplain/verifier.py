@@ -26,10 +26,9 @@ draws its remaining hits are expected to need, up to a cap in doubles that
 keeps each block's temporaries below glibc's 128 KiB mmap threshold.
 
 The general learner's conjectures each extend the last cover by a few
-clauses, and carry those clauses as literal bitsets. The stream keeps, for
-its current block, the in-region rows' failing literals as word-major
-bitsets, the clauses already folded in and which rows they cover, so each
-new conjecture tests only its new clauses.
+clauses, and carry a cover that folds itself over rows. The stream keeps
+the fold of its current block as an opaque memo, so each new conjecture
+folds in only its new clauses.
 """
 
 from __future__ import annotations
@@ -41,7 +40,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 # `evaluate` stays importable here: bench/tracing.py wraps it in this module
-from .formula import Formula, Or, _cover_mask, _missing_words, evaluate, evaluate_mask  # noqa: F401
+from .formula import Formula, evaluate, evaluate_mask  # noqa: F401
 from .model import Model
 from .query import Query
 
@@ -90,17 +89,10 @@ class Draws:
     caller's `limit`, which `verify` caps at `_VERIFY_MAX_CHUNK` rows and
     `estimate_query_accuracy` at `_ESTIMATE_BLOCK_DOUBLES` doubles.
 
-    `mask(f)` is f's mask on the in-region rows of the last take. For a
-    cover with literal bitsets, the block keeps a memo: `_missing_words` of
-    all its in-region rows, tested once when the first such cover meets the
-    block; the clause rows folded in so far; and the mask of rows they
-    cover. A cover whose clause rows start with the folded ones folds in
-    only the rest, and any other cover is folded afresh. Rows that view the
-    same buffer as the folded ones, and are no fewer, start with them
-    without a check: `GeneralLearner` only appends rows to its buffer and
-    never rewrites one. Any other cover is compared row for row. Folds run
-    over the rows from the piece's first on, since consumed draws are never
-    handed out again. A fresh block drops the memo.
+    `mask(f)` is f's mask on the in-region rows of the last take. A cover
+    folds itself over the block's rows from the piece's first on (consumed
+    draws are never handed out again) into the memo the last cover's fold
+    left, which a fresh block drops.
     """
 
     def __init__(
@@ -114,7 +106,7 @@ class Draws:
         self._block = None  # X, in-region row indices, those rows, model verdicts
         self._used = 0  # draws of the block consumed so far
         self._piece = (0, 0)  # the last take's in-region rows, as a slice of the block's
-        self._memo = None  # the block's literal tests, missing words, folded clauses, covered
+        self._memo = None  # the last cover's fold over the block
 
     def take(self, limit: int) -> tuple:
         """(X, rows, inside, target): up to `limit` draws as the rows of X,
@@ -138,27 +130,14 @@ class Draws:
 
     def mask(self, f: Formula) -> np.ndarray:
         """`evaluate_mask` of f on the in-region rows of the last `take`,
-        folded into the block's memo when f carries literal bitsets."""
+        folded into the block's memo when f carries a cover."""
         a, b = self._piece
         inside = self._block[2]
-        words = f.__dict__.get("_words") if isinstance(f, Or) else None
-        if words is None:
+        cover = f.__dict__.get("_cover")
+        if cover is None:
             return evaluate_mask(f, inside[a:b])
-        tests, clauses = words
-        memo = self._memo
-        if memo is None or memo[0] is not tests:
-            missing = _missing_words(tests, inside, clauses.shape[1])
-            memo = (tests, missing, clauses[:0], np.zeros(len(inside), dtype=bool))
-        _, missing, folded, covered = memo
-        n = len(folded)
-        same_buffer = folded.base is clauses.base is not None and n <= len(clauses)
-        if not (same_buffer or np.array_equal(clauses[:n], folded)):
-            n = 0
-            covered[a:] = False
-        if n < len(clauses):
-            covered[a:] |= _cover_mask(clauses[n:], missing[:, a:])
-        self._memo = (tests, missing, clauses, covered)
-        return covered[a:b].copy()
+        self._memo = cover.fold(self._memo, inside, a)
+        return self._memo[-1][a:b].copy()
 
     def consume(self, k: int):
         self._used += k

@@ -110,7 +110,7 @@ def test_stable_report_strips_only_volatile_fields(zoo_tree, zoo_grammar):
     }
 
 
-def test_stable_report_of_a_deep_tree():
+def _deep_tree_report():
     # a tree built in Python may be deeper than any recursion limit; its
     # report's model JSON nests as deep
     depth = 3000
@@ -121,7 +121,11 @@ def test_stable_report_of_a_deep_tree():
     cfg = RunConfig(model=model.DecisionTreeModel(2, ("a", "b"), root), query=TrueQuery(2),
                     target_class="b", grammar=default_grammar(["real", "real"]), seed=0,
                     max_iterations=3)
-    report = run_report(explain(cfg))
+    return run_report(explain(cfg))
+
+
+def test_stable_report_of_a_deep_tree():
+    report = _deep_tree_report()
     stable = stable_report(report)
     assert "timestamp" in report and "timestamp" not in stable
     assert "wallSeconds" in report["stats"] and "wallSeconds" not in stable["stats"]
@@ -144,6 +148,13 @@ def test_report_shape_and_named_rendering(zoo_tree, zoo_grammar, zoo_data):
     assert report["stats"]["iterations"] == len(report["trace"])
     assert report["stats"]["counterexamples"] == len(report["sample"])
     json.dumps(report)  # everything must serialize as-is
+
+
+def test_write_report_too_deep_to_encode_leaves_no_file(tmp_path):
+    path = tmp_path / "report.json"
+    with pytest.raises(ValueError, match="nested too deeply"):
+        write_report(_deep_tree_report(), str(path))
+    assert not path.exists()
 
 
 def test_write_report_and_replay_round_trip(tmp_path, zoo_tree, zoo_grammar):
@@ -530,7 +541,7 @@ def test_general_run_is_the_same_with_and_without_the_dnf_kernel(
                     grammar=loose, seed=23, strategy="general", max_iterations=120,
                     accuracy_samples=500)
     kernel = explain(cfg)
-    assert len(kernel.explanation.children) >= 8 and "_words" in vars(kernel.explanation)
+    assert len(kernel.explanation.children) >= 8 and "_cover" in vars(kernel.explanation)
     learner_next = synthesizer.GeneralLearner.next
 
     def stripped_next(learner, deadline=None):
@@ -540,7 +551,7 @@ def test_general_run_is_the_same_with_and_without_the_dnf_kernel(
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(synthesizer.GeneralLearner, "next", stripped_next)
         nodes = explain(cfg)
-    assert "_words" not in vars(nodes.explanation)
+    assert "_cover" not in vars(nodes.explanation)
     assert stable_report(run_report(kernel)) == stable_report(run_report(nodes))
 
 

@@ -36,7 +36,7 @@ from pacexplain import (
     render,
     size,
 )
-from pacexplain import formula as formula_module
+from pacexplain import synthesizer
 from pacexplain.formula import _canonical_node
 from pacexplain.synthesizer import GeneralLearner
 
@@ -162,7 +162,7 @@ def cover_grammars(draw):
 
 @pytest.mark.parametrize(
     "cells",
-    [lambda width: formula_module._COVER_CELLS, lambda width: 1, lambda width: 5,
+    [lambda width: synthesizer._COVER_CELLS, lambda width: 1, lambda width: 5,
      lambda width: 2 * width],
     ids=["default-slices", "one-cell", "five-cells", "two-rows"],
 )
@@ -182,7 +182,7 @@ def test_dnf_mask_matches_evaluate(cells, g, data):
         learner.add(x, 1)
     f = learner.next()
     assume(isinstance(f, Or))
-    width = f._words[1].shape[1]
+    width = f._cover.rows.shape[1]
     assert width == (2 if len(g.literals()) > 64 else 1)
     moves = data.draw(st.lists(
         st.tuples(st.integers(0, len(g.features) - 1), cover_coordinates),
@@ -192,7 +192,7 @@ def test_dnf_mask_matches_evaluate(cells, g, data):
     xs = fed + moved + data.draw(st.lists(point, max_size=12))
     X = np.array(xs, dtype=float)
     want = [evaluate(f, x) for x in xs]
-    with mock.patch.object(formula_module, "_COVER_CELLS", cells(width)):
+    with mock.patch.object(synthesizer, "_COVER_CELLS", cells(width)):
         for k in range(len(xs) + 1):
             mask = evaluate_mask(f, X[:k])
             assert mask.dtype == bool and mask.tolist() == want[:k]
@@ -208,7 +208,7 @@ def _learner_cover():
     for x in fed:
         learner.add(x, 1)
     f = learner.next()
-    assert len(f.children) == 4096 and f._words[1].shape == (4096, 2)
+    assert len(f.children) == 4096 and f._cover.rows.shape == (4096, 2)
     return f, np.concatenate([fed[:2048], np.random.default_rng(1).random((2048, 16))])
 
 
@@ -223,7 +223,7 @@ def _fresh_literal_dnf():
     "make", [_learner_cover, _fresh_literal_dnf], ids=["grammar-literals", "fresh-literals"]
 )
 def test_dnf_mask_working_set_is_bounded(make):
-    # On the largest verify block, unsliced, the 4096 clauses' words ANDed
+    # On 4096 rows, unsliced, the 4096 clauses' words ANDed
     # with the rows' would take 4096 * 4096 * 2 * 8 bytes, 256 MB.
     f, X = make()
     tracemalloc.start()

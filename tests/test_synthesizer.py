@@ -746,7 +746,7 @@ def test_general_conjecture_keeps_its_mask_as_the_cover_grows():
     for f, mask in zip(conjectures, masks):
         assert evaluate_mask(f, X).tolist() == mask == [evaluate(f, x) for x in X]
         with pytest.raises(ValueError):
-            f._words[1][0] = 0
+            f._cover.rows[0] = 0
 
 
 # --- grammar -------------------------------------------------------------------

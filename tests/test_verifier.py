@@ -28,7 +28,7 @@ from pacexplain import (
     parse,
     verify,
 )
-from pacexplain import formula as formula_module
+from pacexplain import synthesizer
 from pacexplain import verifier
 from pacexplain.synthesizer import GeneralLearner
 
@@ -333,8 +333,8 @@ def test_estimate_matches_scalar_loop_and_stream(
 
 
 def test_verify_working_set_is_bounded(zoo_tree):
-    # ε = 5e-4 at iteration 50 is a suite of 75306 draws; drawn as one block
-    # it would take 75306 * 16 * 8 bytes, about 9.6 MB
+    # ε = 5e-4 at iteration 50 is a suite of 75307 draws; drawn as one block
+    # it would take 75307 * 16 * 8 bytes, about 9.6 MB
     f = parse("(and x11 (not x9))", 16)
     dist = BOOL16
     n = suite_size(5e-4, 0.05, 50)
@@ -443,8 +443,42 @@ def test_draws_mask_folds_across_slices(cells, name, seed, data):
     # that starts mid-block spans several slices, and the literal words
     # of a block are tested a row or a few at a time.
     width = 2 if name == "two-words" else 1
-    with mock.patch.object(formula_module, "_COVER_CELLS", cells(width)):
+    with mock.patch.object(synthesizer, "_COVER_CELLS", cells(width)):
         _check_draws_masks(MASK_KINDS[name], seed, data)
+
+
+def test_draws_mask_folds_only_new_clauses_after_the_buffer_grows():
+    # The learner's buffer doubles between two conjectures, so the second
+    # one's rows live in a new buffer; the block's memo still hands
+    # `_cover_mask` only the clauses added since the first one.
+    kinds = MASK_KINDS["one-word"]
+    d = len(kinds)
+    g = default_grammar(kinds, max_clauses=4096, max_literals_per_clause=2 * d)
+    tree = {"feature": 1, "threshold": 0.5, "le": {"leaf": "a"}, "gt": {"leaf": "b"}}
+    draws = Draws(default_distribution(kinds), rng(3), TrueQuery(d),
+                  DecisionTreeModel(d, ("a", "b"), tree), "b")
+    learner, cells = GeneralLearner(g), _cell_points(kinds)
+    while len(learner._clauses) < 5:
+        learner.add(next(cells), 1)
+    first, buffer = learner.next(), learner._words
+    while learner._words is buffer:
+        learner.add(next(cells), 1)
+    learner.add(next(cells), 1)
+    second = learner.next()
+    folded = []
+    cover_mask = synthesizer._cover_mask
+
+    def counted(clauses, missing):
+        folded.append(len(clauses))
+        return cover_mask(clauses, missing)
+
+    _, _, inside, _ = draws.take(200)
+    with mock.patch.object(synthesizer, "_cover_mask", counted):
+        for f in (first, second):
+            assert draws.mask(f).tolist() == [evaluate(f, tuple(x)) for x in inside]
+    n1, n2 = len(first.children), len(second.children)
+    assert n1 < len(buffer) < n2
+    assert folded == [n1, n2 - n1]
 
 
 class _CountingBlocks:
