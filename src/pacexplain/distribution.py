@@ -13,9 +13,10 @@ one `rng.random((n, d))` call yields the doubles of n scalar draws in
 order. A block maps a categorical spec's doubles to values by compares
 against its running sums; a spec over exactly 0.0 and 1.0 takes one
 in-place compare. A noisy `Empirical` draw spends a varying number of
-stream values (`integers`, then ziggurat `normal`), so such blocks are
-drawn one point at a time; a quiet one (σ = 0, or no real feature) spends
-one `integers` value, so its block is one `integers` call.
+stream values (`integers`, then ziggurat `normal`), so such a block makes
+those two calls per row, then indexes the rows and adds and clamps the
+noise once; a quiet one (σ = 0, or no real feature) spends one `integers`
+value, so its block is one `integers` call.
 """
 
 from __future__ import annotations
@@ -248,12 +249,20 @@ class Empirical(Distribution):
     def sample_block(self, rng: np.random.Generator, n: int) -> np.ndarray:
         # a quiet draw is one `integers` call, and n of them consume the
         # stream as one call of size n does; a noisy draw's stream use
-        # varies, so no array call reproduces n of them
+        # varies, so no array call reproduces n of them, and each row makes
+        # its own two calls
         if not self._noisy:
             return self._points[rng.integers(len(self._points), size=n)]
-        X = np.empty((n, self.arity))
+        rows = np.empty(n, dtype=np.intp)
+        noise = np.empty((n, len(self._real_idx)))
         for i in range(n):
-            X[i] = self.sample(rng)
+            rows[i] = rng.integers(len(self._points))
+            noise[i] = rng.normal(0.0, self.sigma, size=len(self._real_idx))
+        X = self._points[rows]
+        v = X[:, self._real_idx] + noise
+        # min(1.0, max(0.0, v)) as `sample` clamps: a NaN or a -0.0 becomes 0.0
+        v = np.where(v > 0.0, v, 0.0)
+        X[:, self._real_idx] = np.where(v < 1.0, v, 1.0)
         return X
 
     def to_json(self) -> dict:

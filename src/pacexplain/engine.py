@@ -179,14 +179,14 @@ def explain(cfg: RunConfig) -> RunResult:
             tuple(kinds.get(j, "real") for j in range(cfg.model.arity))
         )
 
-    # child 0 is reserved and unused; spawning three keeps recorded reports' seeds
-    _, loop_seq, post_seq = np.random.SeedSequence(cfg.seed).spawn(3)
-
-    def stream(seq: np.random.SeedSequence) -> Draws:
+    def stream(child: int) -> Draws:
+        # child `child` of SeedSequence(seed).spawn(3), built alone; child 0
+        # is reserved and unused, which keeps recorded reports' seeds
+        seq = np.random.SeedSequence(cfg.seed, spawn_key=(child,))
         rng = np.random.Generator(np.random.PCG64(seq))
         return Draws(dist, rng, cfg.query, cfg.model, cfg.target_class)
 
-    draws = stream(loop_seq)
+    draws = stream(1)
     in_region = 0
 
     sample = Sample()
@@ -285,7 +285,7 @@ def explain(cfg: RunConfig) -> RunResult:
         stats.explanation_size = size(explanation)
         if cfg.accuracy_samples > 0:
             accuracy, support, estimate_draws = estimate_query_accuracy(
-                explanation, stream(post_seq), cfg.accuracy_samples
+                explanation, stream(2), cfg.accuracy_samples
             )
             stats.accuracy = accuracy
             stats.accuracy_support = support

@@ -8,6 +8,12 @@ and exact-match lookup tables. The explanation engine only ever calls
 row of a block; the base class derives it from `classify`, so anything
 exposing `classify` can be plugged in. A tree is validated and compiled into
 node arrays in one breadth-first walk, without recursion, when it is built.
+A tree's verdict depends only on which side of each split a row lies, so a
+tree with at most `_SPLIT_TABLE_BOUND` distinct `(feature, threshold)`
+splits answers `target_mask` from a table: one compare per split packs
+each row's sides into a code, and the code indexes the target's verdicts.
+A larger tree walks its node arrays one level at a time. Model JSON takes
+no `true`/`false` and no non-finite number where it expects a number.
 
 Datasets come from RFC-4180 CSV files with a header row of distinct
 feature names; the last column is the class. Features are min-max
@@ -26,6 +32,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -77,13 +84,31 @@ def _object_array(items: Sequence) -> np.ndarray:
     return out
 
 
+# A tree with at most this many distinct splits keeps a table of 2**S
+# verdicts per target class; above it, `target_mask` walks the tree.
+_SPLIT_TABLE_BOUND = 12
+
+
 class DecisionTreeModel(Model):
+    """A binary tree that sends `x[feature] <= threshold` to `le`.
+
+    `target_mask` on a tree of S <= `_SPLIT_TABLE_BOUND` distinct
+    `(feature, threshold)` splits compares each row once per split, packs
+    the results into a code (bit i set when the row lies `le` of split i)
+    and looks the code up in a table of 2**S verdicts. A NaN coordinate
+    fails every `<=`, so it takes `gt`, as in `classify`. The splits and
+    each target's table are built on the first `target_mask` for that
+    target. A tree with more distinct splits is walked one level at a
+    time over its node arrays instead.
+    """
+
     def __init__(self, arity: int, classes: Sequence, root: dict):
         self.arity = int(arity)
         self.classes = tuple(classes)
         self.root = root
         self._flat = _flatten_tree(root, self.arity, set(self.classes))
-        self._is_target = {}  # target class -> whether each node's label is it
+        # target class -> verdict per split code, or per node above the bound
+        self._verdicts = {}
 
     def classify(self, x: Sequence[float]):
         self._check_arity(x)
@@ -94,15 +119,56 @@ class DecisionTreeModel(Model):
 
     def target_mask(self, X: np.ndarray, target_class) -> np.ndarray:
         self._check_block(X)
-        feature, threshold, le, gt, labels, depth = self._flat
-        is_target = self._is_target.get(target_class)
-        if is_target is None:
-            is_target = self._is_target[target_class] = labels == target_class
+        verdict = self._verdicts.get(target_class)
+        if verdict is None:
+            verdict = self._verdicts[target_class] = self._verdict(target_class)
+        if self._splits is not None:
+            feature, threshold, weight, _ = self._splits
+            # one small integer product packs each row's bits into its code
+            return verdict[(X[:, feature] <= threshold).view(np.uint8) @ weight]
+        feature, threshold, le, gt, _, depth = self._flat
         rows = np.arange(len(X))
         node = np.zeros(len(X), dtype=np.intp)
         # every row takes `depth` steps; one that reached its leaf stays there
         for _ in range(depth):
             node = np.where(X[rows, feature[node]] <= threshold[node], le[node], gt[node])
+        return verdict[node]
+
+    @cached_property
+    def _splits(self):
+        """The distinct splits' features, thresholds and code bit weights,
+        and each node's bit (0 at a leaf); None past the bound.
+
+        Thresholds are finite, so equal floats make one split; 0.0 and -0.0
+        are one split too, as `x <= 0.0` and `x <= -0.0` agree on every x.
+        """
+        feature, threshold, _, _, labels, _ = self._flat
+        bits = {}
+        node_bit = np.zeros(len(labels), dtype=np.intp)
+        for k, (j, t, label) in enumerate(zip(feature.tolist(), threshold.tolist(), labels)):
+            if label is None:
+                node_bit[k] = bits.setdefault((j, t), len(bits))
+                if len(bits) > _SPLIT_TABLE_BOUND:
+                    return None
+        return (
+            np.array([j for j, _ in bits], dtype=np.intp),
+            np.array([t for _, t in bits], dtype=float),
+            (1 << np.arange(len(bits))).astype(np.uint8 if len(bits) <= 8 else np.uint16),
+            node_bit,
+        )
+
+    def _verdict(self, target_class) -> np.ndarray:
+        """Whether each split code's leaf, or above the bound each node's
+        label, is target_class."""
+        _, _, le, gt, labels, depth = self._flat
+        is_target = labels == target_class
+        if self._splits is None:
+            return is_target
+        feature, _, _, node_bit = self._splits
+        codes = np.arange(1 << len(feature))
+        node = np.zeros(len(codes), dtype=np.intp)
+        for _ in range(depth):
+            node = np.where((codes >> node_bit[node]) & 1, le[node], gt[node])
         return is_target[node]
 
     def to_json(self) -> dict:
@@ -141,10 +207,12 @@ def _flatten_tree(root, arity: int, classes: set) -> tuple:
             if key not in node:
                 raise ModelFormatError(f"tree node missing {key!r}")
         j = node["feature"]
-        if not isinstance(j, int) or not 0 <= j < arity:
+        if not isinstance(j, int) or isinstance(j, bool) or not 0 <= j < arity:
             raise ModelFormatError(f"tree split feature {j!r} out of range")
-        if not isinstance(node["threshold"], (int, float)):
-            raise ModelFormatError("tree threshold must be numeric")
+        if not _finite_number(node["threshold"]):
+            raise ModelFormatError(
+                f"tree threshold must be numeric and finite, got {node['threshold']!r}"
+            )
         rows.append((j, float(node["threshold"]), len(nodes), len(nodes) + 1, None))
         nodes += [node["le"], node["gt"]]
         level += [level[k] + 1] * 2
@@ -162,6 +230,10 @@ def _flatten_tree(root, arity: int, classes: set) -> tuple:
 _ACTIVATIONS = ("relu", "id")
 
 
+def _finite_numbers(values) -> bool:
+    return isinstance(values, list) and all(map(_finite_number, values))
+
+
 class MlpModel(Model):
     def __init__(self, arity: int, classes: Sequence, layers: Sequence[dict]):
         self.arity = int(arity)
@@ -170,12 +242,21 @@ class MlpModel(Model):
         width = self.arity
         for k, layer in enumerate(layers):
             try:
-                w = np.asarray(layer["w"], dtype=float)
-                b = np.asarray(layer["b"], dtype=float)
-                act = layer["act"]
+                w, b, act = layer["w"], layer["b"], layer["act"]
             except (KeyError, TypeError) as exc:
                 raise ModelFormatError(f"layer {k}: {exc}") from exc
-            if w.ndim != 2 or b.ndim != 1 or w.shape[0] != b.shape[0]:
+            if not (
+                isinstance(w, list)
+                and all(_finite_numbers(row) for row in w)
+                and _finite_numbers(b)
+            ):
+                raise ModelFormatError(
+                    f"layer {k}: w must be a list of rows and b a list, of finite numbers"
+                )
+            if len({len(row) for row in w}) != 1:
+                raise ModelFormatError(f"layer {k}: w needs at least one row, all of one length")
+            w, b = np.array(w, dtype=float), np.array(b, dtype=float)
+            if w.shape[0] != b.shape[0]:
                 raise ModelFormatError(f"layer {k}: weight/bias shapes disagree")
             if w.shape[1] != width:
                 raise ModelFormatError(

@@ -302,6 +302,36 @@ def test_deeply_nested_model_exits_one(tmp_path, capsys):
     _assert_error_line(capsys)
 
 
+_BELOW = '{"type": "tree", "arity": 2, "classes": ["a", "b"], "root": {"feature": 0, ' \
+    '"threshold": 0.5, "gt": {"leaf": "b"}, "le": {"le": {"leaf": "a"}, "gt": {"leaf": "b"}, %s}}}'
+_MLP = '{"type": "mlp", "arity": 2, "classes": ["a", "b"], ' \
+    '"layers": [{"w": [[1.0, %s], [0.0, 1.0]], "b": [0.0, %s], "act": "id"}]}'
+
+
+@pytest.mark.parametrize("text", [
+    _BELOW % '"feature": true, "threshold": 0.5',
+    _BELOW % '"feature": 1, "threshold": true',
+    _BELOW % '"feature": 1, "threshold": NaN',
+    _BELOW % '"feature": 1, "threshold": -Infinity',
+    _BELOW % '"feature": 1, "threshold": 1%s' % ("0" * 400),
+    _MLP % ("true", "0.0"),
+    _MLP % ("NaN", "0.0"),
+    _MLP % ("0.0", "true"),
+    _MLP % ("0.0", "Infinity"),
+], ids=["tree-feature-true", "tree-threshold-true", "tree-threshold-nan",
+        "tree-threshold-infinity", "tree-threshold-past-float", "mlp-w-true", "mlp-w-nan",
+        "mlp-b-true", "mlp-b-infinity"])
+def test_model_with_a_boolean_or_non_finite_number_exits_one(text, tmp_path, capsys):
+    path = tmp_path / "model.json"
+    path.write_text(text)
+    assert main(["explain", "--model", str(path), "--class", "a"]) == 1
+    _assert_error_line(capsys)
+    # the same model with sound numbers runs
+    sound = text.replace("true", "1").replace("-Infinity", "0.5").replace("Infinity", "0.5")
+    path.write_text(sound.replace("NaN", "0.5").replace("1" + "0" * 400, "0.5"))
+    assert main(["explain", "--model", str(path), "--class", "a"]) in (0, 2, 3)
+
+
 def test_deeply_nested_query_exits_one(data_dir, capsys):
     depth = 3000
     query = "(not " * depth + "x0" + ")" * depth

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pacexplain import (
+    Dataset,
     DistributionError,
     Empirical,
     ProductPerFeature,
@@ -251,6 +252,16 @@ MIXED = ProductPerFeature(
     ]
 )
 ZOO = str(pathlib.Path(IRIS).with_name("zoo.csv"))
+# points on the clamp's edges: wide noise takes the 0 below 0.0 and the 1
+# above 1.0, and the boolean -0.0, never perturbed, must stay -0.0
+EDGES = Dataset(
+    ["a", "b", "c"],
+    ["real", "bool", "real"],
+    [((0.0, -0.0, 1.0), "p"), ((1.0, 1.0, 0.0), "q")],
+    [(0.0, 1.0)] * 3,
+    {},
+    ["p", "q"],
+)
 STREAMS = {
     "box": UniformBox([0.0, -1.0, 2.0], [1.0, 1.0, 2.0]),
     "product": PRODUCT,
@@ -260,6 +271,7 @@ STREAMS = {
     "empirical": Empirical(load_dataset(IRIS), sigma=0.05),
     "empirical-quiet": Empirical(load_dataset(IRIS), sigma=0.0),
     "empirical-boolean": Empirical(load_dataset(ZOO), sigma=0.05),
+    "empirical-edges": Empirical(EDGES, sigma=0.5),
 }
 
 
@@ -282,8 +294,22 @@ def test_sample_block_matches_scalar_draws(name, seed, n):
     a, b = rng(seed), rng(seed)
     X = dist.sample_block(a, n)
     assert X.shape == (n, dist.arity)
-    assert [dist.point(row) for row in X] == scalar_draws(dist, b, n)
+    points = [dist.point(row) for row in X]
+    scalar = scalar_draws(dist, b, n)
+    assert points == scalar
+    assert repr(points) == repr(scalar)  # signed zeros too
     assert a.bit_generator.state == b.bit_generator.state
+
+
+def test_noisy_empirical_block_clamps_as_scalar_draws():
+    dist = STREAMS["empirical-edges"]
+    X = dist.sample_block(rng(3), 200)
+    # both clamps fire, on both real columns, and the boolean column keeps
+    # its -0.0
+    for j in (0, 2):
+        assert 0.0 in X[:, j] and 1.0 in X[:, j]
+    assert np.signbit(X[:, 1]).any()
+    assert repr([dist.point(row) for row in X]) == repr(scalar_draws(dist, rng(3), 200))
 
 
 class Doubles:

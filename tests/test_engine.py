@@ -8,6 +8,7 @@ import json
 import time
 import warnings
 
+import numpy as np
 import pytest
 
 from pacexplain import (
@@ -89,6 +90,30 @@ def test_same_seed_runs_agree_bit_for_bit(zoo_tree, zoo_grammar):
     assert stable_report(first) == stable_report(second)
     third = run_report(explain(zoo_config(zoo_tree, zoo_grammar, seed=8)))
     assert stable_report(first) != stable_report(third)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**31 - 1, 2**64 + 5])
+def test_run_streams_are_the_spawned_children(zoo_tree, zoo_grammar, monkeypatch, seed):
+    # a run builds children 1 and 2 of SeedSequence(seed).spawn(3) alone
+    children = np.random.SeedSequence(seed).spawn(3)[1:]
+    for key, child in enumerate(children, start=1):
+        alone = np.random.SeedSequence(seed, spawn_key=(key,))
+        assert alone.generate_state(8).tolist() == child.generate_state(8).tolist()
+    states = []
+    real_draws = engine.Draws
+
+    def recording_draws(dist, rng, *rest):
+        states.append(rng.bit_generator.state)
+        return real_draws(dist, rng, *rest)
+
+    monkeypatch.setattr(engine, "Draws", recording_draws)
+    result = explain(zoo_config(zoo_tree, zoo_grammar, seed=seed))
+    assert result.outcome == OUTCOME_EXPLANATION  # so the estimate ran
+    assert states == [np.random.PCG64(child).state for child in children]
+    # no estimate, no estimate stream
+    states.clear()
+    explain(zoo_config(zoo_tree, zoo_grammar, seed=seed, accuracy_samples=0))
+    assert states == [np.random.PCG64(children[0]).state]
 
 
 def test_stable_report_strips_only_volatile_fields(zoo_tree, zoo_grammar):

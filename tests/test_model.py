@@ -204,6 +204,121 @@ def test_deep_tree_loads_and_its_mask_matches_classify():
     assert_target_masks_match_classify(model, xs)
 
 
+# Thresholds from a small pool repeat one split at several nodes. 0.0 and
+# -0.0 are one split of the table, since `x <= 0.0` and `x <= -0.0` agree.
+SPLIT_POOL = (0.0, -0.0, 0.25, 0.5, 0.75, 1.0)
+# the fixed bound on distinct splits up to which a tree keeps a split table
+SPLIT_TABLE_BOUND = 12
+
+
+def pooled_tree_strategy(arity=3, depth=4):
+    leaves = st.fixed_dictionaries({"leaf": st.sampled_from(("a", "b", "c"))})
+
+    def splits(children):
+        return st.fixed_dictionaries(
+            {
+                "feature": st.integers(0, arity - 1),
+                "threshold": st.sampled_from(SPLIT_POOL),
+                "le": children,
+                "gt": children,
+            }
+        )
+
+    return st.recursive(leaves, splits, max_leaves=2**depth)
+
+
+pooled_points = st.lists(
+    st.sampled_from(SPLIT_POOL + (math.nan, 0.1, 0.6, -1.0, 2.0)) | st.floats(-1, 2),
+    min_size=3,
+    max_size=3,
+)
+
+
+@given(pooled_tree_strategy(), st.lists(pooled_points, max_size=12))
+def test_tree_with_repeated_splits_masks_match_classify(root, xs):
+    model = DecisionTreeModel(3, ("a", "b", "c"), root)
+    # every threshold on every feature, its neighbours, NaN rows and
+    # signed zeros
+    for t in SPLIT_POOL:
+        xs = xs + [[t] * 3, [np.nextafter(t, -1.0)] * 3, [np.nextafter(t, 2.0)] * 3]
+    xs += [[math.nan] * 3, [math.nan, 0.0, 1.0], [-0.0, 0.0, -0.0], [0.0, -0.0, 0.0]]
+    assert_target_masks_match_classify(model, xs)
+
+
+def _split_chain(distinct: int, repeats: int = 2) -> dict:
+    """A chain of `distinct` distinct splits over three features, each at
+    `repeats` nodes; a row leaves the chain at the first split it fails."""
+    root = {"leaf": "a"}
+    for k in range(distinct * repeats):
+        s = k % distinct
+        gt = {"leaf": "bc"[k % 2]}
+        root = {"feature": s % 3, "threshold": (s + 1) / (distinct + 1), "le": root, "gt": gt}
+    return root
+
+
+@pytest.mark.parametrize("distinct", [0, 1, 5, SPLIT_TABLE_BOUND, SPLIT_TABLE_BOUND + 1])
+def test_split_table_holds_up_to_the_bound_and_matches_classify(distinct):
+    model = DecisionTreeModel(3, ("a", "b", "c"), _split_chain(distinct))
+    on = [(s + 1) / (distinct + 1) for s in range(distinct)]
+    rng = np.random.default_rng(distinct)
+    xs = rng.random((300, 3)).tolist() + [[t, t, t] for t in on]
+    xs += [[t, math.nan, -0.0] for t in on] + [[math.nan] * 3, [-0.0] * 3]
+    assert_target_masks_match_classify(model, xs)
+    assert_target_masks_match_classify(model, [])
+    # the table is kept per distinct split, not per node, up to the bound
+    if distinct <= SPLIT_TABLE_BOUND:
+        assert model._splits is not None and len(model._splits[0]) == distinct
+        assert [len(model._verdicts[c]) for c in model.classes] == [2**distinct] * 3
+    else:
+        assert model._splits is None
+
+
+def _tree_below(**split) -> dict:
+    # the malformed split sits below a sound root
+    below = {"feature": 1, "threshold": 0.5, "le": {"leaf": "a"}, "gt": {"leaf": "b"}, **split}
+    return {"type": "tree", "arity": 2, "classes": ["a", "b"],
+            "root": {"feature": 0, "threshold": 0.5, "le": below, "gt": {"leaf": "b"}}}
+
+
+def _mlp_with(w=((1.0, 0.0), (0.0, 1.0)), b=(0.0, 0.0)) -> dict:
+    return {"type": "mlp", "arity": 2, "classes": ["a", "b"],
+            "layers": [{"w": [list(row) for row in w], "b": list(b), "act": "id"}]}
+
+
+# JSON true is no number, and JSON readers take NaN and Infinity
+NON_NUMBER_MODELS = {
+    "tree-feature-true": _tree_below(feature=True),
+    "tree-threshold-true": _tree_below(threshold=True),
+    "tree-threshold-nan": _tree_below(threshold=math.nan),
+    "tree-threshold-infinity": _tree_below(threshold=-math.inf),
+    "tree-threshold-past-float": _tree_below(threshold=10**400),
+    "mlp-w-true": _mlp_with(w=((1.0, True), (0.0, 1.0))),
+    "mlp-w-nan": _mlp_with(w=((1.0, 0.0), (math.nan, 1.0))),
+    "mlp-b-true": _mlp_with(b=(True, 0.0)),
+    "mlp-b-nan": _mlp_with(b=(0.0, math.nan)),
+    "mlp-b-infinity": _mlp_with(b=(0.0, math.inf)),
+}
+
+
+@pytest.mark.parametrize("name", list(NON_NUMBER_MODELS))
+def test_model_json_rejects_booleans_and_non_finite_numbers(name):
+    with pytest.raises(ModelFormatError):
+        model_from_json(NON_NUMBER_MODELS[name])
+
+
+def test_model_json_takes_ints_and_signed_zeros():
+    assert model_from_json(_tree_below(feature=1, threshold=-0.0)).classify([0.1, 0.0]) == "a"
+    assert model_from_json(_tree_below(threshold=1)).classify([0.1, 1.0]) == "a"
+    assert model_from_json(_mlp_with(w=((1, 0), (0, 1)), b=(0, -0.5))).classify([0.2, 0.6]) == "a"
+
+
+def test_mlp_weights_of_the_wrong_shape_are_rejected():
+    for layer in ({"w": [[1.0, 0.0], [1.0]], "b": [0.0, 0.0]}, {"w": [], "b": []},
+                  {"w": [1.0, 0.0], "b": [0.0]}, {"w": [[1.0, 0.0]], "b": 0.0}):
+        with pytest.raises(ModelFormatError):
+            MlpModel(2, ("a",), [{**layer, "act": "id"}])
+
+
 mlp_layer_floats = st.floats(-2, 2, allow_nan=False)
 
 
