@@ -10,9 +10,9 @@ fixed per-feature order, so a fixed seed yields a bit-identical sequence.
 `ProductPerFeature`, and `UniformBox`, its product of intervals, spend
 exactly one double per feature: draw i consumes doubles i*d .. i*d+d-1, so
 one `rng.random((n, d))` call yields the doubles of n scalar draws in
-order. A block maps a categorical spec's doubles to values by compares
-against its running sums; a spec over exactly 0.0 and 1.0 takes one
-in-place compare. A noisy `Empirical` draw spends a varying number of
+order. A [0, 1] interval keeps its doubles as drawn. A block maps a
+categorical spec's doubles to values by compares against its running
+sums; a spec over exactly 0.0 and 1.0 takes one in-place compare. A noisy `Empirical` draw spends a varying number of
 stream values (`integers`, then ziggurat `normal`), so such a block makes
 those two calls per row, then indexes the rows and adds and clamps the
 noise once; a quiet one (σ = 0, or no real feature) spends one `integers`
@@ -104,8 +104,12 @@ class ProductPerFeature(Distribution):
         self.arity = len(self.specs)
         # Columns with identical specs are drawn together: the intervals by
         # one `lo + u * span`, each distinct categorical spec by one pass of
-        # compares against its running sums.
-        intervals = [j for j, spec in enumerate(self.specs) if spec[0] == "interval"]
+        # compares against its running sums. A [0, 1] column is its u as
+        # drawn, since 0.0 + u * 1.0 == u, and takes no arithmetic.
+        intervals = [
+            j for j, spec in enumerate(self.specs)
+            if spec[0] == "interval" and spec[1:] != (0.0, 1.0)
+        ]
         self._intervals = (
             self._columns(intervals),
             np.array([self.specs[j][1] for j in intervals]),

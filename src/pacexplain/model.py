@@ -281,17 +281,18 @@ class MlpModel(Model):
     def _outputs(self, X: np.ndarray) -> np.ndarray:
         """Each row's class index: the argmax of the last layer."""
         self._check_block(X)
-        v = X
+        # units by rows, so that each elementwise operation runs along the rows
+        v = X.T
         for w, b, act in self.layers:
             # bias first, then one input at a time: elementwise operations
             # round the same whatever the block size, unlike a BLAS matmul
-            out = np.empty((len(v), len(b)))
-            out[:] = b
+            out = np.empty((len(b), v.shape[1]))
+            out[:] = b[:, None]
             for k in range(w.shape[1]):
-                out += v[:, k : k + 1] * w[:, k]
+                out += w[:, k : k + 1] * v[k]
             v = np.maximum(out, 0.0) if act == "relu" else out
         # ties go to the lowest class index; np.argmax already does that
-        return np.argmax(v, axis=1)
+        return np.argmax(v, axis=0)
 
     def target_mask(self, X: np.ndarray, target_class) -> np.ndarray:
         return (self._labels == target_class)[self._outputs(X)]
@@ -309,7 +310,11 @@ class MlpModel(Model):
 
 
 class TableModel(Model):
-    """Exact-match lookup table with a default class for unseen inputs."""
+    """Exact-match lookup table with a default class for unseen inputs.
+
+    Each entry is an object with a known `class` and an `x` of `arity`
+    finite numbers; no point may be given twice.
+    """
 
     def __init__(self, arity: int, classes: Sequence, entries: Sequence, default):
         self.arity = int(arity)
@@ -318,12 +323,20 @@ class TableModel(Model):
             raise ModelFormatError(f"default class {default!r} not in classes")
         self.default = default
         self.table = {}
+        if not isinstance(entries, (list, tuple)):
+            raise ModelFormatError("table entries must be a list")
         for k, entry in enumerate(entries):
-            x = tuple(float(v) for v in entry["x"])
+            if not (isinstance(entry, dict) and "x" in entry and "class" in entry):
+                raise ModelFormatError(f"entry {k}: needs an object with 'x' and 'class'")
+            if not _finite_numbers(entry["x"]):
+                raise ModelFormatError(f"entry {k}: x must be a list of finite numbers")
+            x = tuple(map(float, entry["x"]))
             if len(x) != self.arity:
                 raise ModelFormatError(f"entry {k}: wrong arity")
             if entry["class"] not in self.classes:
                 raise ModelFormatError(f"entry {k}: class {entry['class']!r} unknown")
+            if x in self.table:
+                raise ModelFormatError(f"entry {k}: point {list(x)} given twice")
             self.table[x] = entry["class"]
 
     def classify(self, x: Sequence[float]):

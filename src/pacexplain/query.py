@@ -79,18 +79,23 @@ def TrueQuery(arity: int = 0) -> FormulaQuery:
 class CosineBall(Query):
     """Points within `max_distance` cosine distance of `center`.
 
-    The zero vector has no direction, so it is outside every ball; a zero
-    center is rejected outright.
+    The zero vector has no direction, so it is outside every ball; a center
+    whose squared norm, summed as `cosine_distance` sums it, is zero (the
+    zero vector, or one whose squares underflow) is rejected outright.
     """
 
     def __init__(self, center: Sequence[float], max_distance: float = DEFAULT_COSINE_RADIUS):
         self.center = tuple(float(v) for v in center)
-        if not any(self.center):
-            raise QueryError("cosine ball center must not be the zero vector")
+        nb = 0.0
+        for c in self.center:
+            nb += c * c
+        if nb == 0.0:
+            raise QueryError("cosine ball center must not be the zero vector or underflow to it")
         if not 0.0 <= max_distance <= 2.0:
             raise QueryError("cosine distance lies in [0, 2]")
         self.max_distance = float(max_distance)
         self.arity = len(self.center)
+        self._norm = math.sqrt(nb)
 
     def contains(self, x: Sequence[float]) -> bool:
         if not any(x):
@@ -102,17 +107,17 @@ class CosineBall(Query):
         # row rounds exactly as the scalar test does
         dot = np.zeros(len(X))
         na = np.zeros(len(X))
-        nb = 0.0
         for j, c in enumerate(self.center):
             col = X[:, j]
             dot += col * c
             na += col * col
-            nb += c * c
-        if np.any(X.any(axis=1) & ((na == 0.0) | (nb == 0.0))):
+        # the center's squared norm is not zero, so only a nonzero row whose
+        # squares underflow has no computable distance
+        if not na.all() and X[na == 0.0].any():
             raise QueryError("cosine distance undefined for the zero vector")
         # a zero row gives 0/0 = NaN, which no comparison accepts: outside
         with np.errstate(divide="ignore", invalid="ignore"):
-            cos = dot / (np.sqrt(na) * math.sqrt(nb))
+            cos = dot / (np.sqrt(na) * self._norm)
         return 1.0 - np.clip(cos, -1.0, 1.0) <= self.max_distance
 
     def to_json(self) -> dict:

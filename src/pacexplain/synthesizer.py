@@ -67,7 +67,6 @@ from .formula import (
     Or,
     _canonical_node,
     order_key,
-    size,
 )
 # `evaluate` stays importable here: bench/tracing.py wraps it in this module
 from .formula import evaluate  # noqa: F401
@@ -287,7 +286,7 @@ class Sample:
                 self.add(x, label)
 
     def add(self, x: Sequence[float], label: int) -> bool:
-        point = tuple(float(v) for v in x)
+        point = tuple(map(float, x))
         label = int(label)
         if label not in (0, 1):
             raise ValueError(f"label must be 0 or 1, got {label}")
@@ -640,6 +639,15 @@ def _cover_mask(clauses: np.ndarray, missing: np.ndarray) -> np.ndarray:
     return out
 
 
+def _fold_clause(clause: np.ndarray, missing: np.ndarray, covered: np.ndarray):
+    """`_cover_mask` of one clause ORed into `covered` in place: each word
+    of the clause is one scalar AND with that word of every row."""
+    ok = (missing[0] & clause[0]) == 0
+    for w in range(1, len(clause)):
+        ok &= (missing[w] & clause[w]) == 0
+    covered |= ok
+
+
 class _Cover:
     """A general conjecture's clauses as literal bitsets, folded over rows
     instead of walked: `owner` is a token unique to the learner, `tests` its
@@ -657,13 +665,16 @@ class _Cover:
         mask of the rows it covers. `memo` is None or what `fold` returned on
         X from a row no later than a. A memo of this owner with no more
         clauses has folded a leading run of the rows (see `GeneralLearner.add`),
-        so only the rest are folded in; any other memo is rebuilt."""
+        so only the rest are folded in, one clause in place; any other memo
+        is rebuilt."""
         rows = self.rows
         if memo is None or memo[0] is not self.owner or memo[1] > len(rows):
             missing = _missing_words(self.tests, X, rows.shape[1])
             memo = (self.owner, 0, missing, np.zeros(len(X), dtype=bool))
         owner, n, missing, covered = memo
-        if n < len(rows):
+        if n == len(rows) - 1:
+            _fold_clause(rows[n], missing[:, a:], covered[a:])
+        elif n < len(rows):
             covered[a:] |= _cover_mask(rows[n:], missing[:, a:])
         return owner, len(rows), missing, covered
 
@@ -679,8 +690,13 @@ def _word_count(g: Grammar) -> int:
 
 @functools.lru_cache(maxsize=65536)
 def _cell_clause(g: Grammar, sig: tuple) -> tuple:
-    """The clause of the grid cell `sig`, and its literals as a read-only
-    bitset over `g.literals()`."""
+    """The clause of the grid cell `sig`, its literals as a read-only bitset
+    over `g.literals()`, and its flat key `(max(1, k), places)`, where
+    `places` are the sorted indices in `g.literals()` of its k literals.
+
+    A cell clause is true or a conjunction of distinct literals, and
+    `g.literals()` is sorted by order key, so on cell clauses the flat key
+    orders and ties exactly as `order_key` does, with cheaper compares."""
     lits = []
     for f, s in zip(g.features, sig):
         if f.kind == "bool":
@@ -691,12 +707,14 @@ def _cell_clause(g: Grammar, sig: tuple) -> tuple:
             lits.append(Atom(f.index, ">", f.constants[lo - 1]))
         if hi < len(f.constants) and "<" in f.ops:
             lits.append(Atom(f.index, "<", f.constants[hi]))
-    place = {lit: i for i, lit in enumerate(g.literals())}
+    literals = g.literals()
+    place = {lit: i for i, lit in enumerate(literals)}
+    places = tuple(sorted(place[lit] for lit in lits))
     held = np.zeros(64 * _word_count(g), dtype=bool)
-    held[[place[lit] for lit in lits]] = True
+    held[list(places)] = True
     words = np.packbits(held, bitorder="little").view("<u8")
     words.flags.writeable = False
-    return _conjunction(sorted(lits, key=order_key)), words
+    return _conjunction(literals[i] for i in places), words, (max(1, len(places)), places)
 
 
 class GeneralLearner:
@@ -709,17 +727,17 @@ class GeneralLearner:
     one `_cover_mask` test against the other side. Each conjecture carries
     a `_Cover` of the clauses' rows.
 
-    The clauses stay sorted by order key beside a list of their keys, which
-    a new clause is placed in by bisection and whose equal key marks a
-    duplicate. Once the cover fails it stays failed, since the sample only
-    grows.
+    The clauses stay sorted by order key beside a list of their flat keys
+    (see `_cell_clause`), which a new clause is placed in by bisection and
+    whose equal key marks a duplicate. Once the cover fails it stays
+    failed, since the sample only grows.
     """
 
     def __init__(self, g: Grammar):
         self._g = g
         self._tests = g.literal_tests()
         self._clauses = []  # sorted by order key, which is Or's order
-        self._keys = []  # the clauses' order keys
+        self._keys = []  # the clauses' flat keys, which order them as order_key does
         width = _word_count(g)
         self._words = np.zeros((8, width), dtype="<u8")  # the clauses, in order added
         self._negatives = np.zeros((width, 0), dtype="<u8")  # failing literals, word-major
@@ -736,14 +754,13 @@ class GeneralLearner:
             return
         g = self._g
         keys = self._keys
-        clause, words = _cell_clause(g, _cell_signature(g, x))
-        key = order_key(clause)
+        clause, words, key = _cell_clause(g, _cell_signature(g, x))
         place = bisect.bisect_left(keys, key)
         if place < len(keys) and keys[place] == key:
             return
         n = len(keys)
         self._failed = (
-            size(clause) > g.max_literals_per_clause
+            key[0] > g.max_literals_per_clause
             or n == g.max_clauses
             or bool(self._negatives.size and _cover_mask(words[None], self._negatives).any())
         )

@@ -292,6 +292,16 @@ def _assert_error_line(capsys):
     assert "Traceback" not in err
 
 
+def test_table_entry_without_a_point_exits_one(tmp_path, capsys):
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps({
+        "type": "table", "arity": 1, "classes": [0, 1],
+        "entries": [{"class": 1}], "default": 0,
+    }))
+    assert main(["explain", "--model", str(path), "--class", "1"]) == 1
+    _assert_error_line(capsys)
+
+
 def test_deeply_nested_model_exits_one(tmp_path, capsys):
     depth = 5000
     split = '{"feature": 0, "threshold": 0.5, "gt": {"leaf": "b"}, "le": '

@@ -264,6 +264,13 @@ EDGES = Dataset(
 )
 STREAMS = {
     "box": UniformBox([0.0, -1.0, 2.0], [1.0, 1.0, 2.0]),
+    # [0, 1] columns keep their doubles as drawn: all of them, and some
+    # beside other intervals (one from -0.0) and a categorical column
+    "unit-box": UniformBox([0.0] * 4, [1.0] * 4),
+    "unit-and-other": ProductPerFeature(
+        [("interval", 0, 1), ("interval", 0.25, 1.0), ("categorical", {0: 1, 1: 1}),
+         ("interval", -0.0, 1.0), ("interval", 0.0, 2.0), ("interval", 0.0, 1.0)]
+    ),
     "product": PRODUCT,
     "grouped": GROUPED,
     "mixed": MIXED,

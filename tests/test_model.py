@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from pacexplain import (
@@ -285,6 +285,11 @@ def _mlp_with(w=((1.0, 0.0), (0.0, 1.0)), b=(0.0, 0.0)) -> dict:
             "layers": [{"w": [list(row) for row in w], "b": list(b), "act": "id"}]}
 
 
+def _table_with(*xs, classes=("a",)) -> dict:
+    return {"type": "table", "arity": 2, "classes": ["a", "b"], "default": "a",
+            "entries": [{"x": list(x), "class": c} for x, c in zip(xs, itertools.cycle(classes))]}
+
+
 # JSON true is no number, and JSON readers take NaN and Infinity
 NON_NUMBER_MODELS = {
     "tree-feature-true": _tree_below(feature=True),
@@ -297,6 +302,11 @@ NON_NUMBER_MODELS = {
     "mlp-b-true": _mlp_with(b=(True, 0.0)),
     "mlp-b-nan": _mlp_with(b=(0.0, math.nan)),
     "mlp-b-infinity": _mlp_with(b=(0.0, math.inf)),
+    "table-x-true": _table_with([True, 0]),
+    "table-x-text": _table_with(["1.5", 0]),
+    "table-x-nan": _table_with([0.0, math.nan]),
+    "table-x-infinity": _table_with([math.inf, 0.0]),
+    "table-x-past-float": _table_with([10**400, 0.0]),
 }
 
 
@@ -356,6 +366,37 @@ def test_mlp_matches_loop_forward_oracle(model, x):
 def test_mlp_target_mask_matches_classify(model, xs):
     # a class named twice is the target at both of its outputs
     assert_target_masks_match_classify(model, xs + [[0.0, 0.0, 0.0]])
+
+
+def _with_tied_outputs(model):
+    """The model with a third output equal to its second: the two tie on
+    every row, and the lower index must win wherever they lead."""
+    layers = [{"w": w.tolist(), "b": b.tolist(), "act": act} for w, b, act in model.layers]
+    last = layers[-1]
+    last["w"].append(last["w"][1])
+    last["b"].append(last["b"][1])
+    return MlpModel(model.arity, ("p", "q", "r"), layers)
+
+
+# the first row ties outputs 1 and 2 above output 0
+TIED_MLP = MlpModel(3, ("p", "q", "r"), [
+    {"w": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 1.0, 0.0]], "b": [0.0, 0.0, 0.0], "act": "id"},
+])
+
+
+@given(mlp_strategy().map(_with_tied_outputs), st.lists(points3, min_size=2, max_size=12))
+@example(TIED_MLP, [[0.2, 0.5, 0.0], [0.9, 0.1, 0.3], [0.4, 0.4, 0.4]])
+def test_mlp_target_mask_matches_forward_oracle(model, xs):
+    # every row of a block against the loop oracle, which shares no kernel
+    # with `target_mask` or `classify`
+    layers = [(w.tolist(), b.tolist(), act) for w, b, act in model.layers]
+    want = []
+    for x in xs:
+        logits = forward_oracle(layers, x)
+        want.append(model.classes[max(range(len(logits)), key=lambda i: (logits[i], -i))])
+    X = np.array(xs, dtype=float)
+    for c in model.classes:
+        assert model.target_mask(X, c).tolist() == [label == c for label in want]
 
 
 @given(mlp_strategy(), points3, st.floats(-5, 5, allow_nan=False))
@@ -435,6 +476,16 @@ def test_table_model_validation_errors():
         TableModel(2, ("a",), [{"x": [0], "class": "a"}], "a")
     with pytest.raises(ModelFormatError):
         TableModel(2, ("a",), [{"x": [0, 1], "class": "zzz"}], "a")
+    for entries in ([{"class": "a"}], [{"x": [0, 1]}], [[0, 1]], [{"x": 0, "class": "a"}],
+                    {"x": [0, 1], "class": "a"}):
+        with pytest.raises(ModelFormatError):
+            TableModel(2, ("a",), entries, "a")
+    # a point given twice, though written differently, is no silent overwrite
+    for xs in (([1, 0], [1.0, 0.0]), ([0.0, 0.5], [-0.0, 0.5])):
+        with pytest.raises(ModelFormatError, match="given twice"):
+            model_from_json(_table_with(*xs, classes=("b", "a")))
+    assert model_from_json(_table_with([1, 0], [0, 1])).to_json()["entries"] == [
+        {"x": [0.0, 1.0], "class": "a"}, {"x": [1.0, 0.0], "class": "a"}]
 
 
 @given(mlp_strategy(), points3)

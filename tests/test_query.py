@@ -92,6 +92,12 @@ def test_formula_contains_mask_matches_contains():
 def test_cosine_ball_rejects_bad_arguments():
     with pytest.raises(QueryError):
         CosineBall((0.0, 0.0), 0.5)
+    # a center whose squares underflow has no computable distance either
+    with pytest.raises(QueryError):
+        CosineBall((1e-200, 0.0), 0.5)
+    with pytest.raises(QueryError):
+        CosineBall((-1e-170, 1e-170), 0.5)
+    assert CosineBall((1e-160, 0.0), 0.5).contains_mask(np.array([[1.0, 0.0]])).tolist() == [True]
     with pytest.raises(QueryError):
         CosineBall((1.0, 0.0), 2.5)
     with pytest.raises(QueryError):

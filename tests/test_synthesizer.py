@@ -655,7 +655,7 @@ class ScalarCover:
             self.negatives.append(x)
             self.failed = any(evaluate(c, x) for c in self.clauses)
             return "negative" if self.failed else None
-        clause, _ = synthesizer._cell_clause(g, synthesizer._cell_signature(g, x))
+        clause, _, _ = synthesizer._cell_clause(g, synthesizer._cell_signature(g, x))
         if clause in self.clauses:
             return None
         self.clauses.append(clause)
@@ -673,6 +673,55 @@ class ScalarCover:
         return self.clauses[0] if self.clauses else FALSE
 
 
+def flat_key(g, clause):
+    """The flat key of a cell clause, from its literals' places in the
+    grammar's sorted literals."""
+    lits = () if clause == TRUE else clause.children if isinstance(clause, And) else (clause,)
+    places = tuple(sorted(g.literals().index(lit) for lit in lits))
+    return (max(1, len(places)), places)
+
+
+# `<` alone on every feature: the cell above every last constant is `true`
+LESS_ONLY = Grammar(
+    (GrammarFeature(0, "real", (0.25, 0.75), ("<",)), GrammarFeature(1, "real", (0.5,), ("<",))),
+    max_clauses=3,
+    max_literals_per_clause=2,
+)
+
+
+@st.composite
+def cell_grammars(draw):
+    feats = []
+    for j in range(draw(st.integers(1, 3))):
+        if draw(st.booleans()):
+            feats.append(GrammarFeature(j, "bool"))
+        else:
+            constants = draw(st.lists(st.sampled_from(DEFAULT_CONSTANTS), min_size=1, unique=True))
+            ops = draw(st.sampled_from((("<",), (">",), ("<", ">"), (">", "<"))))
+            feats.append(GrammarFeature(j, "real", tuple(constants), ops))
+    return Grammar(tuple(feats), max_clauses=3, max_literals_per_clause=3)
+
+
+@given(
+    st.one_of(st.sampled_from([BOOL3, MIXED3, LESS_ONLY]), cell_grammars()),
+    st.lists(st.tuples(*[st.sampled_from((0.0, 0.1, 0.25, 0.4, 0.5, 0.6, 0.75, 1.0))] * 3),
+             min_size=1, max_size=12),
+)
+@example(LESS_ONLY, [(1.0, 1.0, 1.0), (0.1, 1.0, 0.0), (0.5, 0.1, 0.0), (0.1, 0.1, 0.0)])
+@example(BOOL3, [(1.0, 0.0, 1.0), (0.0, 1.0, 1.0), (1.0, 1.0, 0.0)])
+@example(MIXED3, [(1.0, 0.1, 0.0), (1.0, 0.5, 0.0), (1.0, 0.6, 0.0), (0.0, 0.5, 0.0)])
+def test_flat_key_orders_cell_clauses_as_order_key_does(g, points):
+    # the learner bisects its clauses by the flat key alone, so Or's
+    # canonical order rests on it ordering and tying as order_key does
+    cells = [synthesizer._cell_clause(g, synthesizer._cell_signature(g, x)) for x in points]
+    clauses = [clause for clause, _, _ in cells]
+    keys = {clause: key for clause, _, key in cells}
+    assert all(keys[c] == flat_key(g, c) for c in clauses)
+    assert sorted(clauses, key=keys.get) == sorted(clauses, key=order_key)
+    for a, b in itertools.product(clauses, repeat=2):
+        assert (keys[a] == keys[b]) == (a == b)
+
+
 # room for more clauses and literals than ALL_OPS, and 68 literals, whose
 # bitsets take two words; MANY has room for more clauses than the learner's
 # first buffer of 8 rows
@@ -688,7 +737,7 @@ MANY = default_grammar(["real"] * 11 + ["bool"], max_clauses=40, max_literals_pe
 @settings(max_examples=60, deadline=None)
 def test_general_learner_fails_as_the_scalar_cover_does(g, data):
     # the learner's clauses also stay in strictly increasing order key,
-    # beside their keys
+    # beside their flat keys
     coordinate = ON_CONSTANTS if g is not MANY else st.one_of(ON_CONSTANTS, st.floats(0, 1))
     point = st.tuples(*[coordinate] * (g.features[-1].index + 1))
     size = 10 if g is not MANY else 40
@@ -700,7 +749,7 @@ def test_general_learner_fails_as_the_scalar_cover_does(g, data):
         assert learner.next() == scalar.next()
         keys = [order_key(c) for c in learner._clauses]
         assert all(a < b for a, b in zip(keys, keys[1:]))
-        assert learner._keys == keys
+        assert learner._keys == [flat_key(g, c) for c in learner._clauses]
 
 
 @pytest.mark.parametrize("g", [CELL_G, WIDE], ids=["one-feature", "wide"])

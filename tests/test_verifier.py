@@ -369,10 +369,12 @@ def _check_draws_masks(kinds, seed, data):
     recent draws, over takes and consumes that end mid-block and cross
     into fresh blocks, each mask checked against scalar `evaluate`. Among
     them: a step after which the learner's rows live in a doubled buffer;
-    two covers of another learner over the same grammar; the learner's last
-    conjecture again, right after the one that extends it, as the post-run
-    estimate evaluates it after a timeout; and a formula without bitsets.
-    The fed points are recent draws, some with one coordinate moved."""
+    a step that adds exactly one clause, right after the conjecture it
+    extends, so that the block's memo is one clause behind; two covers of
+    another learner over the same grammar; the learner's last conjecture
+    again, right after the one that extends it, as the post-run estimate
+    evaluates it after a timeout; and a formula without bitsets. The fed
+    points are recent draws, some with one coordinate moved."""
     d = len(kinds)
     g = default_grammar(kinds, max_clauses=4096, max_literals_per_clause=2 * d)
     dist = default_distribution(kinds)
@@ -393,13 +395,34 @@ def _check_draws_masks(kinds, seed, data):
             x[j] = 1.0 - x[j] if kinds[j] == "bool" else (x[j] + 0.5) % 1.0
         return x
 
-    steps = data.draw(st.integers(6, 10))
-    grow, other_1, other_2, stale, plain = data.draw(st.permutations(range(1, steps)))[:5]
+    steps = data.draw(st.integers(7, 10))
+    grow, single, other_1, other_2, stale, plain = data.draw(
+        st.permutations(range(1, steps)))[:6]
+    folds = []  # the steps that folded one clause in place
+    fold_clause = synthesizer._fold_clause
+
+    def counted(*args):
+        folds.append(step)
+        return fold_clause(*args)
+
     for step in range(steps):
         if step in (other_1, other_2):
             for _ in range(data.draw(st.integers(1, 3))):
                 other.add(fed(), 1)
             fs = [other.next()]
+        elif step == single:
+            # one new clause from recent draws, or from the grid once a few
+            # of those gave none
+            cells = _cell_points(kinds)
+            while len(learner._clauses) < 2:
+                learner.add(next(cells), 1)
+            n, fs = len(learner._clauses), [learner.next()]
+            for k in itertools.count():
+                learner.add(fed() if k < 8 else next(cells), 1)
+                if len(learner._clauses) > n:
+                    break
+            fs.append(learner.next())
+            conjectures.append(fs[-1])
         else:
             if step == grow:
                 buffer, cells = learner._words, _cell_points(kinds)
@@ -414,7 +437,8 @@ def _check_draws_masks(kinds, seed, data):
         for _ in range(data.draw(st.integers(1, 3))):
             recent, _, inside, _ = draws.take(data.draw(st.integers(1, 300)))
             for f in fs:
-                mask = draws.mask(f)
+                with mock.patch.object(synthesizer, "_fold_clause", counted):
+                    mask = draws.mask(f)
                 expected = [evaluate(f, tuple(x)) for x in inside]
                 assert mask.tolist() == expected
                 if mask.flags.writeable:
@@ -422,6 +446,7 @@ def _check_draws_masks(kinds, seed, data):
                 draws.take(len(recent))
                 assert draws.mask(f).tolist() == expected
             draws.consume(data.draw(st.integers(0, len(recent))))
+    assert single in folds
 
 
 @pytest.mark.parametrize("name", list(MASK_KINDS))
@@ -447,11 +472,14 @@ def test_draws_mask_folds_across_slices(cells, name, seed, data):
         _check_draws_masks(MASK_KINDS[name], seed, data)
 
 
-def test_draws_mask_folds_only_new_clauses_after_the_buffer_grows():
-    # The learner's buffer doubles between two conjectures, so the second
-    # one's rows live in a new buffer; the block's memo still hands
-    # `_cover_mask` only the clauses added since the first one.
-    kinds = MASK_KINDS["one-word"]
+def _check_folds_after_the_buffer_grows(kinds):
+    """The learner's buffer doubles between two conjectures, so the second
+    one's rows live in a new buffer; the block's memo still hands
+    `_cover_mask` only the clauses added since the first one. A third
+    conjecture's one new clause is folded in place: it is the cell of a
+    drawn row with its last boolean turned from 1 to 0, so that row fails
+    the clause only on `(not x_last)`, the last literal, which on two
+    words lies in the second."""
     d = len(kinds)
     g = default_grammar(kinds, max_clauses=4096, max_literals_per_clause=2 * d)
     tree = {"feature": 1, "threshold": 0.5, "le": {"leaf": "a"}, "gt": {"leaf": "b"}}
@@ -465,20 +493,35 @@ def test_draws_mask_folds_only_new_clauses_after_the_buffer_grows():
         learner.add(next(cells), 1)
     learner.add(next(cells), 1)
     second = learner.next()
+    _, _, inside, _ = draws.take(200)
+    for x in inside.tolist():
+        if x[-1] == 1.0 and len(learner._clauses) == len(second.children):
+            learner.add(x[:-1] + [0.0], 1)
+    third = learner.next()
     folded = []
-    cover_mask = synthesizer._cover_mask
+    cover_mask, fold_clause = synthesizer._cover_mask, synthesizer._fold_clause
 
     def counted(clauses, missing):
-        folded.append(len(clauses))
+        folded.append(("many", clauses.tolist()))
         return cover_mask(clauses, missing)
 
-    _, _, inside, _ = draws.take(200)
-    with mock.patch.object(synthesizer, "_cover_mask", counted):
-        for f in (first, second):
+    def counted_one(clause, missing, covered):
+        folded.append(("one", [clause.tolist()]))
+        return fold_clause(clause, missing, covered)
+
+    with mock.patch.object(synthesizer, "_cover_mask", counted), \
+            mock.patch.object(synthesizer, "_fold_clause", counted_one):
+        for f in (first, second, third):
             assert draws.mask(f).tolist() == [evaluate(f, tuple(x)) for x in inside]
-    n1, n2 = len(first.children), len(second.children)
-    assert n1 < len(buffer) < n2
-    assert folded == [n1, n2 - n1]
+    n1, n2, n3 = len(first.children), len(second.children), len(third.children)
+    assert n1 < len(buffer) < n2 and n3 == n2 + 1
+    rows = learner._words.tolist()
+    assert folded == [("many", rows[:n1]), ("many", rows[n1:n2]), ("one", rows[n2:n3])]
+
+
+def test_draws_mask_folds_only_new_clauses_after_the_buffer_grows():
+    for kinds in MASK_KINDS.values():
+        _check_folds_after_the_buffer_grows(kinds)
 
 
 class _CountingBlocks:
