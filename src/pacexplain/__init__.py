@@ -53,7 +53,6 @@ from .model import (
     load_model,
     model_from_json,
     save_manifest,
-    save_model,
 )
 from .distribution import (
     Distribution,

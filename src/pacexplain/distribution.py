@@ -233,7 +233,6 @@ class Empirical(Distribution):
             raise DistributionError("sigma must be a finite number >= 0")
         if not dataset.rows:
             raise DistributionError("empirical distribution needs a non-empty dataset")
-        self.dataset = dataset
         self.sigma = float(sigma)
         self.path = path
         self.arity = dataset.arity

@@ -388,12 +388,6 @@ def load_model(path: str) -> Model:
     return model_from_json(obj)
 
 
-def save_model(model: Model, path: str):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model.to_json(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 # --- datasets ----------------------------------------------------------------
 
 
@@ -579,21 +573,18 @@ def _apply_manifest(path, feature_names, columns, labels, manifest) -> Dataset:
     return Dataset(list(feature_names), kinds, rows, bounds, categorical, list(classes))
 
 
-def accuracy_on(classifier, data: Dataset, query: Optional[Query], target_class):
-    """Agreement of a classifier with dataset labels on the target class.
+def accuracy_on(f: Formula, data: Dataset, query: Optional[Query], target_class):
+    """Agreement of a formula (satisfied = predicts target_class) with the
+    dataset labels on the target class.
 
-    `classifier` is a Formula (satisfied = predicts target_class) or a Model.
     Only rows inside `query` count; returns None when no row qualifies.
     """
+    if not isinstance(f, Formula):
+        raise TypeError("accuracy_on takes a Formula")
     if query is None:
         query = TrueQuery()
     X = np.array([x for x, _ in data.rows], dtype=float).reshape(len(data.rows), data.arity)
-    if isinstance(classifier, Formula):
-        predicts = evaluate_mask(classifier, X)
-    elif isinstance(classifier, Model):
-        predicts = classifier.target_mask(X, target_class)
-    else:
-        raise TypeError("classifier must be a Formula or a Model")
+    predicts = evaluate_mask(f, X)
     inside = query.contains_mask(X)
     total = int(np.count_nonzero(inside))
     if total == 0:

@@ -123,13 +123,6 @@ class CosineBall(Query):
     def to_json(self) -> dict:
         return {"cosine": {"center": list(self.center), "maxDistance": self.max_distance}}
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, CosineBall)
-            and self.center == other.center
-            and self.max_distance == other.max_distance
-        )
-
 
 def _finite_number(v) -> bool:
     """Whether v is a finite int or float; a bool, though an int, is not."""

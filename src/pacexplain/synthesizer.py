@@ -47,7 +47,6 @@ conjectures carry a `_Cover`: literal bitsets only this module lays out.
 from __future__ import annotations
 
 import bisect
-import functools
 import itertools
 import time
 from dataclasses import dataclass
@@ -135,8 +134,7 @@ class Grammar:
     """A class of DNFs: each feature's literal pool and the clause bounds.
 
     Immutable. What is derived from it, the literals, their tests and its
-    hash, is built once and kept on the grammar, since `_cell_clause`'s
-    cache hashes it on every lookup.
+    cell clauses, is built once and kept on the grammar.
     """
 
     features: tuple
@@ -161,15 +159,6 @@ class Grammar:
         object.__setattr__(
             self, "features", tuple(sorted(feats, key=lambda f: f.index))
         )
-
-    def __hash__(self) -> int:
-        """The fields' hash, computed once."""
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = hash((self.features, self.max_clauses, self.max_literals_per_clause,
-                      self.include_constants))
-            object.__setattr__(self, "_hash", h)
-        return h
 
     def literals(self) -> list:
         """All grammar literals, sorted by candidate order.
@@ -688,7 +677,6 @@ def _word_count(g: Grammar) -> int:
     return max(1, -(-len(g.literals()) // 64))
 
 
-@functools.lru_cache(maxsize=65536)
 def _cell_clause(g: Grammar, sig: tuple) -> tuple:
     """The clause of the grid cell `sig`, its literals as a read-only bitset
     over `g.literals()`, and its flat key `(max(1, k), places)`, where
@@ -736,6 +724,7 @@ class GeneralLearner:
     def __init__(self, g: Grammar):
         self._g = g
         self._tests = g.literal_tests()
+        self._cells = g.__dict__.setdefault("_cells", {})  # `_cell_clause` by cell, kept on g
         self._clauses = []  # sorted by order key, which is Or's order
         self._keys = []  # the clauses' flat keys, which order them as order_key does
         width = _word_count(g)
@@ -754,7 +743,8 @@ class GeneralLearner:
             return
         g = self._g
         keys = self._keys
-        clause, words, key = _cell_clause(g, _cell_signature(g, x))
+        cells, sig = self._cells, _cell_signature(g, x)
+        clause, words, key = cells.get(sig) or cells.setdefault(sig, _cell_clause(g, sig))
         place = bisect.bisect_left(keys, key)
         if place < len(keys) and keys[place] == key:
             return
@@ -826,9 +816,10 @@ def export_sygus_if(
 ) -> str:
     """Render the synthesis instance in SyGuS-IF v2 over LRA.
 
-    The grammar block encodes the DNF shape (disjunction of conjunctions of
-    the grammar's literals); each sample entry becomes one point-wise
-    constraint on the synthesized predicate.
+    The grammar block encodes the grammar's class: at most `max_clauses`
+    clauses of at most `max_literals_per_clause` of its literals each, and
+    `true` and `false` when it includes constants. Each sample entry becomes
+    one point-wise constraint on the synthesized predicate.
     """
     if arity is None:
         if len(sample) > 0:
@@ -865,18 +856,27 @@ def export_sygus_if(
     if not lit_prods:
         lit_prods.append("true")
 
-    start_alts = ["Clause", "(or Clause Start)"]
-    if g.include_constants:
-        start_alts = ["true", "false"] + start_alts
+    def counted(name, unit, op, n):
+        # `name` derives at most n units joined by op, through `name_j` for at
+        # most j < n of them; a single unit is the unit itself
+        names = [unit] + [f"{name}_{j}" for j in range(2, n)] + [name]
+        rules = [(names[j], [unit, f"({op} {unit} {names[j - 1]})"]) for j in range(n - 1, 0, -1)]
+        return rules or [(name, [unit])]
 
+    rules = (
+        counted("Start", "Clause", "or", g.max_clauses)
+        + counted("Clause", "Lit", "and", g.max_literals_per_clause)
+        + [("Lit", lit_prods)]
+    )
+    if g.include_constants:
+        rules[0][1][:0] = ["true", "false"]
     params = " ".join(f"({var(j)} Real)" for j in range(arity))
+    body = "\n   ".join(f"({name} Bool ({' '.join(alts)}))" for name, alts in rules)
     lines = [
         "(set-logic LRA)",
         f"(synth-fun explain ({params}) Bool",
-        "  ((Start Bool) (Clause Bool) (Lit Bool))",
-        f"  ((Start Bool ({' '.join(start_alts)}))",
-        "   (Clause Bool (Lit (and Lit Clause)))",
-        f"   (Lit Bool ({' '.join(lit_prods)}))))",
+        f"  ({' '.join(f'({name} Bool)' for name, _ in rules)})",
+        f"  ({body}))",
     ]
     for x, label in sample:
         args = " ".join(_sygus_number(v) for v in x)

@@ -52,6 +52,8 @@ _VERIFY_MAX_CHUNK = 4096
 # glibc's 128 KiB mmap threshold reuses heap memory instead of mapping and
 # faulting in fresh pages for each one.
 _ESTIMATE_BLOCK_DOUBLES = 15360
+# An estimate stops after this many draws per requested in-region point.
+_ESTIMATE_DRAWS_PER_HIT = 50
 
 
 @dataclass(frozen=True)
@@ -196,14 +198,13 @@ def estimate_query_accuracy(
     f: Formula,
     draws: Draws,
     n_target: int,
-    max_draws: Optional[int] = None,
 ) -> Tuple[Optional[float], int, int]:
     """Agreement of f with the model on draws inside the query region.
 
-    Takes draws until n_target in-region points were seen (or max_draws
-    total), consuming them up to the last of those; returns (accuracy,
-    in_region_count, draws), accuracy None when nothing landed inside the
-    region.
+    Takes draws until n_target in-region points were seen (or
+    `_ESTIMATE_DRAWS_PER_HIT` * n_target in all), consuming them up to the
+    last of those; returns (accuracy, in_region_count, draws), accuracy None
+    when nothing landed inside the region.
 
     Each piece asks for the draws the remaining hits are expected to need:
     all of them before the first hit, then the remaining hits over the hit
@@ -213,8 +214,7 @@ def estimate_query_accuracy(
     """
     if n_target < 1:
         raise ValueError("n_target must be >= 1")
-    if max_draws is None:
-        max_draws = 50 * n_target
+    max_draws = _ESTIMATE_DRAWS_PER_HIT * n_target
     cap = max(1, _ESTIMATE_BLOCK_DOUBLES // max(1, draws.distribution.arity))
     hits = 0
     agree = 0

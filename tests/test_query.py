@@ -115,7 +115,7 @@ def test_query_json_round_trip():
     q = FormulaQuery(parse("(> x1 0.25)", 3), 3)
     assert query_from_json(q.to_json(), 3) == q
     ball = CosineBall((0.5, 0.5, 1.0), 0.25)
-    assert query_from_json(ball.to_json(), 3) == ball
+    assert query_from_json(ball.to_json(), 3).to_json() == ball.to_json()
 
 
 def test_query_from_json_errors():

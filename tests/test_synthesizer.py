@@ -7,11 +7,14 @@ no code with the lazy level-by-level recursion it checks.
 """
 
 import functools
+import gc
 import itertools
 import json
 import math
 import random
+import re
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -798,6 +801,25 @@ def test_general_conjecture_keeps_its_mask_as_the_cover_grows():
             f._cover.rows[0] = 0
 
 
+def test_grammar_is_freed_once_its_runs_are_done():
+    # the cell clauses a general run builds are kept on its grammar, not in a
+    # module-level cache that outlives it
+    g = default_grammar(["real", "real", "bool"], max_clauses=4, max_literals_per_clause=5)
+    ref = weakref.ref(g)
+    learner = GeneralLearner(g)
+    for x in ((0.1, 0.3, 1.0), (0.6, 0.9, 0.0), (0.4, 0.2, 1.0)):
+        learner.add(x, 1)
+    conjecture = learner.next()
+    assert len(conjecture.children) == 3
+    del g, learner, conjecture
+    gc.collect()
+    assert ref() is None
+    # equal grammars built apart still compare and hash as equal
+    a, b = default_grammar(["real", "bool"]), default_grammar(["real", "bool"])
+    GeneralLearner(a).add((0.1, 1.0), 1)  # only a has cells cached
+    assert a == b and hash(a) == hash(b)
+
+
 # --- grammar -------------------------------------------------------------------
 
 
@@ -952,12 +974,72 @@ def test_export_sygus_frozen_example():
         "(set-logic LRA)\n"
         "(synth-fun explain ((x0 Real) (x1 Real)) Bool\n"
         "  ((Start Bool) (Clause Bool) (Lit Bool))\n"
-        "  ((Start Bool (true false Clause (or Clause Start)))\n"
-        "   (Clause Bool (Lit (and Lit Clause)))\n"
+        "  ((Start Bool (true false Clause (or Clause Clause)))\n"
+        "   (Clause Bool (Lit (and Lit Lit)))\n"
         "   (Lit Bool ((= x0 1.0) (not (= x0 1.0))))))\n"
         "(constraint (= (explain 1.0 0.0) true))\n"
         "(check-synth)\n"
     )
+
+
+def _sexprs(text):
+    """The s-expressions of text, as nested lists of atoms."""
+    stack = [[]]
+    for token in re.findall(r"[()]|[^\s()]+", text):
+        if token == "(":
+            stack.append([])
+        elif token == ")":
+            done = stack.pop()
+            stack[-1].append(done)
+        else:
+            stack[-1].append(token)
+    assert len(stack) == 1
+    return stack[0]
+
+
+def _exported_bounds(text):
+    """The largest clause count and clause length of any term the exported
+    grammar derives from its start symbol, math.inf when a nonterminal
+    derives itself; and the start symbol's alternatives."""
+    (synth,) = [form for form in _sexprs(text) if form[0] == "synth-fun"]
+    declared, rules = synth[4], synth[5]
+    assert [d[0] for d in declared] == [r[0] for r in rules]
+    alternatives = {name: alts for name, _, alts in rules}
+    done = {}
+
+    def bounds(term, open_):
+        if isinstance(term, list) and term[0] in ("or", "and"):
+            parts = [bounds(t, open_) for t in term[1:]]
+            if term[0] == "or":
+                return sum(c for c, _ in parts), max(n for _, n in parts)
+            return math.prod(c for c, _ in parts), sum(n for _, n in parts)
+        if term in ("true", "false"):
+            return 1, 0
+        if isinstance(term, list) or term not in alternatives:  # a literal
+            return 1, 1
+        if term in open_:
+            return math.inf, math.inf
+        if term not in done:
+            parts = [bounds(t, open_ | {term}) for t in alternatives[term]]
+            done[term] = max(c for c, _ in parts), max(n for _, n in parts)
+        return done[term]
+
+    start = rules[0][0]
+    return bounds(start, frozenset()), alternatives
+
+
+@pytest.mark.parametrize("kinds", [["bool"], ["real"], ["real", "bool"]])
+@pytest.mark.parametrize("clauses,literals", [(1, 1), (2, 2), (3, 2)])
+@pytest.mark.parametrize("constants", [True, False])
+def test_export_sygus_keeps_the_clause_bounds(kinds, clauses, literals, constants):
+    features = default_grammar(kinds).features
+    g = Grammar(features, clauses, literals, constants)
+    (most_clauses, longest), alternatives = _exported_bounds(export_sygus_if(Sample(), g))
+    assert (most_clauses, longest) == (clauses, literals)
+    # the constants are alternatives of the start symbol alone
+    start, *rest = alternatives.values()
+    assert ("true" in start and "false" in start) == constants
+    assert not any("true" in alts or "false" in alts for alts in rest)
 
 
 def test_export_sygus_structure():

@@ -207,12 +207,13 @@ def test_estimate_query_accuracy(zoo_tree):
     )
     assert acc is None
     assert hits == 0
-    assert draws == 5000  # the default cap, 50 draws per target hit
-    # narrow regions stop at max_draws, not at the target
+    assert draws == 5000  # the cap, 50 draws per target hit
+    # narrow regions stop at the cap, not at the target
     narrow = FormulaQuery(parse("(and x0 (and x1 (and x2 x3)))", 16), 16)
-    acc, hits, draws = estimate_query_accuracy(
-        f, stream(zoo_tree, narrow, "fish", BOOL16, 6), 1000, max_draws=2000
-    )
+    with mock.patch.object(verifier, "_ESTIMATE_DRAWS_PER_HIT", 2):
+        acc, hits, draws = estimate_query_accuracy(
+            f, stream(zoo_tree, narrow, "fish", BOOL16, 6), 1000
+        )
     assert hits < 1000
     assert draws == 2000
     with pytest.raises(ValueError):
@@ -319,14 +320,16 @@ def test_verify_matches_scalar_loop_and_stream(
 @given(
     seed=st.integers(0, 2**32 - 1),
     n_target=st.integers(1, 1500),
-    max_draws=st.integers(1, 12000),
+    per_hit=st.integers(1, 8),
 )
 def test_estimate_matches_scalar_loop_and_stream(
-    zoo_tree, iris_mlp, data_dir, case, seed, n_target, max_draws
+    zoo_tree, iris_mlp, data_dir, case, seed, n_target, per_hit
 ):
     f, model, query, target, dist = _cases(zoo_tree, iris_mlp, data_dir)[case]
     draws, b = Draws(dist, rng(seed), query, model, target), rng(seed)
-    got = estimate_query_accuracy(f, draws, n_target, max_draws=max_draws)
+    with mock.patch.object(verifier, "_ESTIMATE_DRAWS_PER_HIT", per_hit):
+        got = estimate_query_accuracy(f, draws, n_target)
+    max_draws = per_hit * n_target
     assert got == scalar_estimate(f, model, query, target, dist, b, n_target, max_draws)
     X, _, _, _ = draws.take(1)
     assert dist.point(X[0]) == dist.sample(b)
