@@ -29,6 +29,7 @@ combinations order is the clauses' candidate order: the first hit is the
 first consistent candidate of the range, and a range without one is
 skipped whole. Clause records are built and kept only for the prefixes.
 With a deadline, the scan reads the clock once per range it skips.
+Each (positives, clause size) pair's last clauses are kept until a negative.
 
 An engine run keeps one learner per strategy and feeds it each round's
 counterexamples. `OccamLearner` pauses its scan between rounds and
@@ -377,6 +378,17 @@ def _level(group, s: int, m: int, max_lits: int, k_lo: int = 1, i_lo: int = 0, p
                 yield from _level(group, rest, m - 1, max_lits, k, j + 1, prefix + (rec,))
 
 
+def _consistent_clauses(able, masks_n, full_n: int, k: int) -> Iterator[tuple]:
+    """The k-combinations of `able` that no negative of `full_n` satisfies, in order."""
+    for head in itertools.combinations(able, k - 1):
+        held = full_n
+        for i in head:
+            held &= masks_n[i]
+        for last in able[bisect.bisect_right(able, head[-1] if head else -1):]:
+            if not held & masks_n[last]:
+                yield head + (last,)
+
+
 def _ranges(g: Grammar, group) -> Iterator[Optional[tuple]]:
     """Every candidate of the grammar, as ranges, in candidate order.
 
@@ -417,10 +429,10 @@ class OccamLearner:
     `add` takes a new labeled point, and `next` returns the first candidate
     after the last one it returned that is consistent with every point
     added so far, or None when the rest of the class has none. The last
-    clause of a candidate is tested against the per-literal masks; the
-    prefix clause records are kept: a new positive sets its bit in the
-    records that hold it, and a new negative sets their mask to -1, so no
-    candidate with one covers. `add` looks up only the records whose
+    clause of a candidate comes from `_last_clause`, whose memo a negative
+    clears; the prefix clause records are kept: a new positive sets its bit
+    in the records that hold it, and a new negative sets their mask to -1,
+    so no candidate with one covers. `add` looks up only the records whose
     literals all hold the point.
     """
 
@@ -444,6 +456,7 @@ class OccamLearner:
         # the literals that hold every positive of a set: a positive's bits
         # never change once it is added, so the answer never goes stale
         self._able = {}
+        self._hits = {}  # (need, k) -> [hits found so far, paused walk or None]
 
     def add(self, x: Sequence[float], label: int):
         bit = 1 << self._counts[label]
@@ -456,6 +469,8 @@ class OccamLearner:
         held = np.flatnonzero(hold).tolist()
         for i in held:
             masks[i] |= bit
+        if not label:
+            self._hits.clear()
         for k, records in self._groups.items():
             places = self._index[k]
             for combo in itertools.combinations(held, k):
@@ -470,35 +485,30 @@ class OccamLearner:
         that holds every positive in `need` and no negative, or None.
 
         A clause's positive mask is the AND of its literals' masks, so only
-        literals whose mask contains `need` can be in it. The clauses are
-        walked as a head of k - 1 literals and a last literal after it.
+        literals whose mask contains `need` can be in it. Its hits are kept,
+        from the first combination on, none missing, until a negative (a
+        positive changes neither `need`'s literals nor the negatives' masks).
         """
-        masks_p, masks_n = self._masks_p, self._masks_n
-        full_n = (1 << self._counts[0]) - 1
         if not k:  # the empty clause holds every point
-            return () if after is None and not full_n else None
-        able = self._able.get(need)
-        if able is None:
-            able = [i for i, mask in enumerate(masks_p) if mask & need == need]
-            self._able[need] = able
-        if after:  # a clause whose first literal is below after's comes before it
-            able = able[bisect.bisect_left(able, after[0]):]
-        floor = after[:-1] if after else None  # heads below it come before `after`
-        for head in itertools.combinations(able, k - 1):
-            lo = head[-1] if head else -1
-            if floor is not None:
-                if head < floor:
-                    continue
-                if head == floor:
-                    lo = after[-1]
-                else:
-                    floor = None
-            held = full_n
-            for i in head:
-                held &= masks_n[i]
-            for last in able[bisect.bisect_right(able, lo):]:
-                if not held & masks_n[last]:
-                    return head + (last,)
+            return () if after is None and not self._counts[0] else None
+        entry = self._hits.get((need, k))
+        if entry is None:
+            able = self._able.get(need)
+            if able is None:
+                able = [i for i, mask in enumerate(self._masks_p) if mask & need == need]
+                self._able[need] = able
+            full_n = (1 << self._counts[0]) - 1
+            entry = self._hits[need, k] = [[], _consistent_clauses(able, self._masks_n, full_n, k)]
+        found, walk = entry
+        i = bisect.bisect_right(found, after) if after else 0
+        if i < len(found):
+            return found[i]
+        if walk is not None:
+            for clause in walk:
+                found.append(clause)
+                if after is None or clause > after:
+                    return clause
+            entry[1] = None
         return None
 
     def next(self, deadline: Optional[float] = None) -> Optional[Formula]:

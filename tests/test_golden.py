@@ -5,6 +5,7 @@ import json
 import pytest
 
 import golden
+import report_hashes
 
 
 def _recorded(name):
@@ -20,3 +21,17 @@ def test_corpus_files_match_cases():
 @pytest.mark.parametrize("name", list(golden.CASES))
 def test_golden_entry_reproduces(name):
     assert golden.record(golden.CASES[name]()) == _recorded(name)
+
+
+# `tests/report_hashes.py` at benchmark seed 1 on the first calls of each
+# workload: a change that keeps reports bit-identical keeps these digests
+SMALL_REPORT_HASHES = {
+    ("zoo-queries", 50): "d5a70ed29225900cdb9495169f39ed017d881e584db0476fa31010cf80d1d867",
+    ("occam-deep", 60): "412fa5cf0eb8c3172adc4bfa8769f2464063591cd1b87252a082144b18f1375d",
+    ("general-dnf", 10): "77a4fb3dd142117198b5b333cc5219fab5a564f565a78f1141d95927902f2914",
+}
+
+
+@pytest.mark.parametrize("name, calls", list(SMALL_REPORT_HASHES))
+def test_benchmark_workload_reports_keep_their_hashes(name, calls):
+    assert report_hashes.workload_hash(name, 1, calls) == SMALL_REPORT_HASHES[name, calls]

@@ -445,6 +445,85 @@ def test_learner_boundary_ranges_equal_first_consistent_scan():
     assert all(seen.values()), seen
 
 
+def _hits_of(g, sample, need, k):
+    """The k-literal clauses, as literal places in combinations order, that
+    hold every positive of bitmask `need` and no negative of the sample."""
+    lits = g.literals()
+    positives = [x for x, label in sample if label]
+    negatives = [x for x, label in sample if not label]
+    chosen = [x for b, x in enumerate(positives) if need >> b & 1]
+    return [
+        combo
+        for combo in itertools.combinations(range(len(lits)), k)
+        if all(all(evaluate(lits[i], x) for i in combo) for x in chosen)
+        and not any(all(evaluate(lits[i], x) for i in combo) for x in negatives)
+    ]
+
+
+@pytest.mark.parametrize("g", [MIXED3, REAL3], ids=["mixed3", "real3"])
+@pytest.mark.parametrize("seed", range(4))
+def test_last_clause_memo_equals_a_walk_from_the_first_combination(g, seed):
+    """`_last_clause` keeps each (need, k) pair's hits between calls.
+
+    The learner is stepped past its answers, with positives only, until a
+    memo entry holds two hits; then a negative that the second hit holds
+    and the first does not is added, and the learner is driven on by random
+    points. After every step each entry must be a gap-free prefix of the
+    pair's hits on the sample as it is now (all of them once its walk is
+    used up), and each answer the first member of the brute-force class
+    after the previous answer that is consistent with the sample.
+    """
+    rnd = random.Random(seed)
+    brute = brute_force_class(g)  # an oracle that shares no code with the learner
+    lits = g.literals()
+    learner = OccamLearner(g)
+    sample = Sample()
+    answer = None
+
+    def check_memo():
+        for (need, k), (found, walk) in learner._hits.items():
+            hits = _hits_of(g, sample, need, k)
+            assert found == (hits if walk is None else hits[:len(found)]), (need, k)
+
+    def step():
+        start = 0 if answer is None else brute.index(answer) + 1
+        want = next((f for f in brute[start:] if is_consistent(f, sample)), None)
+        got = learner.next()
+        assert got == want, sample.entries
+        check_memo()
+        return got
+
+    def add(x, label):
+        if sample.add(x, label):
+            learner.add(x, label)
+        check_memo()
+
+    add(tuple(rnd.choice(GRID) for _ in range(3)), 1)
+    while not any(len(found) >= 2 for found, _ in learner._hits.values()):
+        answer = step()
+        assert answer is not None
+    found = next(found for found, _ in learner._hits.values() if len(found) >= 2)
+    first, second = ([lits[i] for i in clause] for clause in found[:2])
+    x = next(
+        x
+        for x in itertools.product(GRID, repeat=3)
+        if all(evaluate(lit, x) for lit in second)
+        and not all(evaluate(lit, x) for lit in first)
+        and x not in dict(sample.entries)
+    )
+    add(x, 0)
+    assert not learner._hits  # a negative clears the memo
+    for _ in range(30):
+        answer = step()
+        if answer is None:
+            break
+        x = tuple(rnd.choice(GRID) for _ in range(3))
+        try:
+            add(x, rnd.choice((0, 1, int(not evaluate(answer, x)))))
+        except InconsistentSampleError:
+            pass
+
+
 def test_synthesize_empty_sample_returns_least_candidate():
     assert synthesize(Sample(), BOOL2) is FALSE
     noconst = Grammar(
